@@ -81,7 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--legs", type=int, default=_env("LEGS"),
                     help="restrict spiders to exactly this many legs")
     sp.add_argument("--workers", type=int,
-                    default=int(_env("WORKERS", 1)))
+                    default=int(_env("WORKERS", 1)),
+                    help="worker processes; with more than one, --cache is "
+                         "only read, never written")
     sp.add_argument("--resume", help="journal file for resumable runs")
     common(sp, mode=True)
 
@@ -316,19 +318,26 @@ def _csv_row(row) -> str:
                     ("graph", "n", "d", "first_trigger", "e_positive", "witness"))
 
 
-def _load_journal(path) -> list[dict]:
-    rows = []
-    if path and os.path.exists(path):
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rows.append(json.loads(line))
-                except json.JSONDecodeError:
-                    break  # truncated tail from a killed run
-    return rows
+def _read_journal(path, header) -> tuple[list[dict], int]:
+    """Rows already in a census journal, and the byte length of its whole
+    lines.  The first record must be this census's header; a journal
+    without it, or from another census, is refused."""
+    records, whole = [], 0
+    if not os.path.exists(path):
+        return [], 0
+    with open(path, "rb") as fh:
+        for line in fh:
+            if not line.endswith(b"\n"):
+                break  # torn tail from a killed run
+            try:
+                records.append(json.loads(line))
+            except ValueError:
+                break
+            whole += len(line)
+    if os.path.getsize(path) and records[:1] != [header]:
+        raise ValueError(f"journal {path} has no header for this census "
+                         f"({json.dumps(header)}); wrong --resume file?")
+    return [r["row"] for r in records[1:]], whole
 
 
 def cmd_census(args) -> int:
@@ -339,16 +348,28 @@ def cmd_census(args) -> int:
         raise ValueError("--legs applies to spider censuses only")
     items = list(_census_items(args.kind, lo, hi, legs))
 
-    done = _load_journal(args.resume)
-    rows = [r["row"] for r in done]
-    todo = items[len(done):]
-
-    journal = open(args.resume, "a") if args.resume else None
-    if len(done) > len(items):
-        raise ValueError("journal longer than the census; wrong --resume file?")
+    rows, journal = [], None
+    if args.resume:
+        header = {"census": {"kind": args.kind, "range": [lo, hi],
+                             "legs": legs, "mode": args.mode,
+                             "oracle_bound": bound}}
+        rows, whole = _read_journal(args.resume, header)
+        if len(rows) > len(items):
+            raise ValueError("journal longer than the census; "
+                             "wrong --resume file?")
+        journal = open(args.resume, "a")
+        journal.truncate(whole)  # cut a torn tail before appending
+        if not whole:
+            journal.write(json.dumps(header) + "\n")
+    done = len(rows)
+    todo = items[done:]
 
     if args.workers > 1:
         # workers preload the cache read-only; their additions stay local
+        if args.cache:
+            print(f"warning: with --workers {args.workers} the cache "
+                  f"{args.cache} is read-only; it will not be written",
+                  file=sys.stderr)
         pool = Pool(args.workers, initializer=_census_init,
                     initargs=(args.kind, args.mode, bound, args.cache))
         stream = pool.imap(_census_one, todo, chunksize=8)
@@ -362,7 +383,7 @@ def cmd_census(args) -> int:
     for i, row in enumerate(stream):
         rows.append(row)
         if journal:
-            journal.write(json.dumps({"i": len(done) + i, "row": row}) + "\n")
+            journal.write(json.dumps({"i": done + i, "row": row}) + "\n")
             journal.flush()
         _print_census_row(row, args.format)
     if pool:
@@ -413,7 +434,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_conjectures(args) -> int:
-    bound = _check_bound(args.oracle_bound) or 12
+    bound = _check_bound(args.oracle_bound)
     cache = _load_cache(args.cache)
     bad = []
 
@@ -426,7 +447,7 @@ def cmd_conjectures(args) -> int:
     # Doubled-leg family S(2(2m+1), 2m, 1).
     for m in range(1, args.max_m + 1):
         s = Spider([2 * (2 * m + 1), 2 * m, 1])
-        if s.n > max(bound, 40):
+        if s.n > max(args.max_n, 40):
             break
         report("doubled_leg_family", str(s),
                spider_csf(s, cache).is_e_positive())
@@ -436,18 +457,18 @@ def cmd_conjectures(args) -> int:
     for n in range(2, 6):
         for m in range(1, args.max_m + 1):
             s = Spider([n * (factorial(n) * m + 1), factorial(n) * m, 1])
-            if s.n > max(bound, 40):
+            if s.n > max(args.max_n, 40):
                 continue
             report("factorial_family", str(s),
                    spider_csf(s, cache).is_e_positive())
 
     # Universal statements over every e-positive spider up to the bound.
     epos = []
-    for nn in range(2, bound + 1):
+    for nn in range(2, args.max_n + 1):
         for s in enumerate_spiders(nn):
             if spider_csf(s, cache).is_e_positive():
                 epos.append(s)
-    print(f"e-positive spiders with n <= {bound}: {len(epos)}")
+    print(f"e-positive spiders with n <= {args.max_n}: {len(epos)}")
 
     for s in epos:
         if s.d >= 2:
@@ -460,7 +481,7 @@ def cmd_conjectures(args) -> int:
     for s in epos:
         lg = line_graph(spider_to_tree(s))
         try:
-            X = csf_oracle(lg)
+            X = csf_oracle(lg, max_n=bound)
         except OracleBoundError:
             print(f"line_graph: {s}: skipped (line graph beyond oracle bound)")
             continue

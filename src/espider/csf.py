@@ -2,10 +2,11 @@
 
 Two independent routes to the e-basis expansion of X_G:
 
-* ``csf_oracle`` walks every edge subset, tallies signed counts per
-  component-size partition, and converts the resulting power-sum expansion
-  to the elementary basis.  Exponential in the edge count, exact, and dumb
-  on purpose: everything else is checked against it.
+* ``csf_oracle`` tallies signed edge-subset counts per component-size
+  partition (Stanley's power-sum expansion) and converts the result to the
+  elementary basis.  Forests take a rooted dynamic program, other graphs a
+  walk over every edge subset; both are exact, and everything else is
+  checked against this route.
 
 * ``spider_csf`` unhooks the shortest leg of a spider one edge at a time,
   reducing to shorter spiders times paths, with path expansions from the
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import os
 
-from espider._subsets import subset_type_census
+from espider._subsets import is_forest, subset_type_census
 from espider.graphs import (Spider, SimpleGraph, Tree, spider_mod_type_info,
                             spider_to_tree)
 from espider.partitions import Partition, multinomial, partitions_of
@@ -88,6 +89,14 @@ class CsfCache:
                 expansion = EExpansion.from_text(body)
             except (ValueError, IndexError) as exc:
                 raise CacheFormatError(f"bad expansion under {head!r}: {exc}")
+            # Every record is a tree on d vertices, so X(1^d) counts its
+            # proper d-colourings, d(d-1)^(d-1).  Each e_lam maps to a
+            # positive product of binomials, so any one altered coefficient
+            # breaks the equation.
+            d = expansion.degree
+            if d < 1 or expansion.evaluate_chromatic(d) != d * (d - 1) ** (d - 1):
+                raise CacheFormatError(f"{head!r} record fails the tree "
+                                       f"colouring check at k = {d}")
             if head.startswith("PATH "):
                 n = int(head[5:])
                 if expansion.degree != n:
@@ -120,31 +129,14 @@ def _as_graph(g) -> tuple[int, list[tuple[int, int]]]:
     raise TypeError(f"cannot interpret {type(g).__name__} as a graph")
 
 
-def _is_forest(n: int, edges) -> bool:
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
-
-
-def csf_oracle(g, max_n: int | None = None, engine: str = "auto") -> EExpansion:
-    """Exact e-expansion of X_g by brute force over edge subsets.
+def csf_oracle(g, max_n: int | None = None) -> EExpansion:
+    """Exact e-expansion of X_g from its edge-subset census.
 
     ``max_n`` overrides the default size bound (trees/forests 20, general
     graphs 14) up to the hard caps.
     """
     n, edges = _as_graph(g)
-    forest = _is_forest(n, edges)
+    forest = is_forest(n, edges)
     bound = max_n if max_n is not None else (
         DEFAULT_TREE_ORACLE_BOUND if forest else DEFAULT_GRAPH_ORACLE_BOUND)
     bound = min(bound, HARD_CAP_VERTICES)
@@ -154,7 +146,7 @@ def csf_oracle(g, max_n: int | None = None, engine: str = "auto") -> EExpansion:
     if len(edges) > HARD_CAP_EDGES:
         raise OracleBoundError(
             f"{len(edges)} edges exceeds the hard cap {HARD_CAP_EDGES}")
-    counts = subset_type_census(n, edges, engine=engine)
+    counts = subset_type_census(n, edges)
     return PExpansion(n, {Partition(k): c for k, c in counts.items()}).to_e()
 
 
@@ -240,7 +232,7 @@ def _spider_csf(legs: tuple[int, ...], cache: CsfCache) -> EExpansion:
 
 
 def tree_csf(t: Tree, cache: CsfCache | None = None,
-             max_n: int | None = None, engine: str = "auto") -> EExpansion:
+             max_n: int | None = None) -> EExpansion:
     """Route a tree to the right engine: paths and spiders go through the
     closed-form/recursive engines, everything else to the oracle."""
     if t.n == 1:
@@ -248,7 +240,7 @@ def tree_csf(t: Tree, cache: CsfCache | None = None,
     sp = t.as_spider()
     if sp is not None:
         return spider_csf(sp, cache)
-    return csf_oracle(t, max_n=max_n, engine=engine)
+    return csf_oracle(t, max_n=max_n)
 
 
 # ---------------------------------------------------------------------------

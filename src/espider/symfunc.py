@@ -250,28 +250,3 @@ def p_monomial_in_e(parts: tuple[int, ...]) -> EExpansion:
         return p_in_e(parts[0])
     return p_monomial_in_e(parts[:-1]) * p_in_e(parts[-1])
 
-
-# Functional aliases matching the operation-level vocabulary.
-
-def e_add(a: EExpansion, b: EExpansion) -> EExpansion:
-    return a + b
-
-
-def e_multiply(a: EExpansion, b: EExpansion) -> EExpansion:
-    return a * b
-
-
-def p_to_e(p: PExpansion) -> EExpansion:
-    return p.to_e()
-
-
-def coefficient(f: _Expansion, key) -> int:
-    return f.coefficient(key)
-
-
-def is_e_positive(f: EExpansion) -> bool:
-    return f.is_e_positive()
-
-
-def evaluate_chromatic(f: EExpansion, k: int) -> int:
-    return f.evaluate_chromatic(k)

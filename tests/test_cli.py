@@ -147,12 +147,47 @@ def test_census_resume_byte_identical(capsys, tmp_path):
     assert code == 2
 
 
+def test_census_resume_refuses_foreign_journal(capsys, tmp_path):
+    j = tmp_path / "spiders.jsonl"
+    code, _ = run_cli(capsys, "census", "spiders", "4..8",
+                      "--resume", str(j))
+    assert code == 0
+    text = j.read_text()
+    assert len(text.splitlines()) > 15
+    # a shorter census of another kind must not splice these rows in
+    code, out = run_cli(capsys, "census", "trees", "4..9", "--resume", str(j))
+    assert code == 2 and out == ""
+    assert j.read_text() == text
+    # the same holds for the other fingerprint fields
+    for extra in (["--mode", "criteria_only"], ["--legs", "3"],
+                  ["--oracle-bound", "9"]):
+        code, _ = run_cli(capsys, "census", "spiders", "4..8",
+                          "--resume", str(j), *extra)
+        assert code == 2
+    # a journal without a header is refused too
+    headless = tmp_path / "old.jsonl"
+    headless.write_text("\n".join(text.splitlines()[1:]) + "\n")
+    code, _ = run_cli(capsys, "census", "spiders", "4..8",
+                      "--resume", str(headless))
+    assert code == 2
+
+
 def test_census_workers_match_serial(capsys):
     _, serial = run_cli(capsys, "census", "spiders", "4..9",
                         "--mode", "criteria_only")
     _, parallel = run_cli(capsys, "census", "spiders", "4..9",
                           "--mode", "criteria_only", "--workers", "2")
     assert serial == parallel
+
+
+def test_census_workers_warn_cache_read_only(capsys, tmp_path):
+    path = tmp_path / "cache.txt"
+    code = cli.main(["census", "spiders", "4..6", "--mode", "criteria_only",
+                     "--workers", "2", "--cache", str(path)])
+    err = capsys.readouterr().err
+    assert code == 0
+    assert "read-only" in err and str(path) in err
+    assert not path.exists()
 
 
 def test_census_populates_cache(capsys, tmp_path):
@@ -190,10 +225,24 @@ def test_corrupt_cache_rebuilt(capsys, tmp_path):
     assert "1 paths" in out
 
 
+def test_tampered_cache_record_rebuilt(capsys, tmp_path):
+    path = tmp_path / "c.txt"
+    code, _ = run_cli(capsys, "expand", "S[3,2,1]", "--cache", str(path))
+    assert code == 0
+    head, sep, tail = path.read_text().partition("SPIDER [3,2,1]\n")
+    assert sep and tail.startswith("7 * e[7]\n")
+    path.write_text(head + sep + "97" + tail[1:])
+    code = cli.main(["expand", "S[3,2,1]", "--coeff", "7", "--cache", str(path)])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out.strip() == "7"
+    assert "rebuilding" in captured.err
+
+
 def test_conjectures_smoke(capsys):
     code, out = run_cli(capsys, "conjectures", "--max-m", "1", "--max-n", "8")
     assert code == 0
     assert "no counterexamples" in out
+    assert "e-positive spiders with n <= 8:" in out
     assert "doubled_leg_family: S[6,2,1]: ok" in out
 
 
