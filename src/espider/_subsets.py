@@ -66,11 +66,7 @@ def subset_type_census(n: int, edges: list[tuple[int, int]]) -> dict[tuple[int, 
         acc = _forest_census(n, edges, shift)
     else:
         acc = _walk_census(n, edges, shift)
-    # Ascending keys put the partitions with few, large blocks last.
-    # PExpansion.to_e sums in this order, and its cost grows with the size
-    # of the running total, so the many-termed p_lam of those keys should
-    # come last: in the DP's own order M_10's conversion takes ~30% longer.
-    return {_decode(key, shift): acc[key] for key in sorted(acc) if acc[key]}
+    return {_decode(key, shift): c for key, c in acc.items() if c}
 
 
 def _forest_census(n, edges, shift) -> dict[int, int]:

@@ -9,7 +9,8 @@ variables (ESPIDER_FORMAT, ESPIDER_CACHE, ESPIDER_WORKERS,
 ESPIDER_ORACLE_BOUND, ESPIDER_MODE, ESPIDER_MAX_N, ESPIDER_LEGS).
 
 Exit codes for ``analyze``: 0 e-positive or unknown, 1 proven not
-e-positive, 2 input error.
+e-positive, 2 input error (an expansion the mode asks for beyond the size
+bound included).
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ import sys
 from multiprocessing import Pool
 
 from espider import acceptance
-from espider.criteria import (MODES, BatteryResult, run_battery, tree_battery)
+from espider.criteria import MODES, BatteryResult, run_battery
 from espider.csf import (CacheFormatError, CsfCache, MIN_ORACLE_BOUND,
                          OracleBoundError, csf_oracle, default_cache,
                          spider_csf, tree_csf)
-from espider.graphs import (Spider, Tree, enumerate_spiders, enumerate_trees,
-                            line_graph, spider_to_tree)
+from espider.graphs import (MAX_TREE_N, Spider, Tree, enumerate_spiders,
+                            enumerate_trees, line_graph, spider_to_tree)
 from espider.partitions import Partition
 
 FORMATS = ("text", "json", "csv")
@@ -50,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--cache", default=_env("CACHE"),
                         help="expansion cache file (created when absent)")
         sp.add_argument("--oracle-bound", type=int,
-                        default=int(_env("ORACLE_BOUND", 0)) or None,
+                        default=_env("ORACLE_BOUND"),
                         help="override the expansion size bound (the subset "
                              "oracle is additionally clamped to its hard cap; "
                              "the spider engine follows the flag)")
@@ -62,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("target", help="S[l1,l2,...], P<n>, or a tree file")
     sp.add_argument("--weak-variety", action="store_true",
                     help="also allow the weak form of variety condition 1 "
-                         "(excluded from soundness guarantees)")
+                         "(spiders only; excluded from soundness guarantees)")
     common(sp, mode=True)
 
     sp = sub.add_parser("expand", help="print an expansion or one coefficient")
@@ -80,8 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="alternative to a range: sweep up to this n")
     sp.add_argument("--legs", type=int, default=_env("LEGS"),
                     help="restrict spiders to exactly this many legs")
-    sp.add_argument("--workers", type=int,
-                    default=int(_env("WORKERS", 1)),
+    sp.add_argument("--workers", type=int, default=_env("WORKERS", "1"),
                     help="worker processes; with more than one, --cache is "
                          "only read, never written")
     sp.add_argument("--resume", help="journal file for resumable runs")
@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("conjectures", help="check the open conjectures at small scale")
     sp.add_argument("--max-m", type=int, default=2)
-    sp.add_argument("--max-n", type=int, default=int(_env("MAX_N", 12)))
+    sp.add_argument("--max-n", type=int, default=_env("MAX_N", "12"))
     common(sp)
 
     sp = sub.add_parser("cache", help="inspect or clear a cache file")
@@ -119,18 +119,19 @@ def _save_cache(cache: CsfCache, path: str | None):
         cache.save(path)
 
 
-def _parse_target(text: str):
-    """Return ('spider', Spider) or ('tree', Tree)."""
-    text = text.strip()
+def _parse_target(target: str):
+    """The Spider or Tree a target names, and its label in the output."""
+    text = target.strip()
     if text.startswith("S["):
-        return "spider", Spider.parse(text)
+        return Spider.parse(text), target
     if text.startswith("P") and text[1:].isdigit():
         n = int(text[1:])
         if n < 2:
             raise ValueError("paths need at least 2 vertices here")
-        return "spider", Spider([n - 1])
+        s = Spider([n - 1])
+        return s, str(s)
     with open(text) as fh:
-        return "tree", Tree.from_text(fh.read())
+        return Tree.from_text(fh.read()), target
 
 
 def _check_bound(bound):
@@ -161,14 +162,11 @@ def _render_battery_text(res: BatteryResult, out):
 
 def cmd_analyze(args) -> int:
     bound = _check_bound(args.oracle_bound)
-    kind, g = _parse_target(args.target)
+    g, label = _parse_target(args.target)
     cache = _load_cache(args.cache)
-    if kind == "spider":
-        res = run_battery(g, mode=args.mode, cache=cache, max_n=bound,
-                          include_weak_variety=args.weak_variety)
-        res.graph = args.target if not args.target.startswith("P") else str(g)
-    else:
-        res = _analyze_tree(g, args.target, args.mode, cache, bound)
+    res = run_battery(g, mode=args.mode, cache=cache, max_n=bound,
+                      include_weak_variety=args.weak_variety)
+    res.graph = label
     _save_cache(cache, args.cache)
     if args.format == "json":
         print(json.dumps(res.to_json_obj()))
@@ -180,45 +178,16 @@ def cmd_analyze(args) -> int:
     return 1 if res.e_positive is False else 0
 
 
-def _analyze_tree(t: Tree, label: str, mode: str, cache: CsfCache,
-                  bound) -> BatteryResult:
-    reports = tree_battery(t)
-    triggered = any(r.triggered for r in reports)
-    res = BatteryResult(label, reports, False if triggered else None)
-    if mode == "criteria_only" or (mode == "criteria_then_expansion" and triggered):
-        return res
-    try:
-        X = tree_csf(t, cache, max_n=bound)
-    except OracleBoundError:
-        return res
-    res.expansion = X
-    res.negative_term = X.first_negative()
-    res.e_positive = res.negative_term is None
-    # A type missing in the reduced spider must be missing in the tree too.
-    from espider.criteria import CriterionSoundnessError
-    from espider.graphs import has_connected_partition
-    for rep in reports:
-        if rep.triggered and rep.witness.kind == "missing_type":
-            if has_connected_partition(t, rep.witness.partition):
-                raise CriterionSoundnessError(
-                    f"{rep.name}: type {rep.witness.partition} is present "
-                    f"in the tree")
-    if triggered and res.e_positive:
-        raise CriterionSoundnessError(
-            "tree criteria fired but the expansion is e-positive")
-    return res
-
-
 # ---------------------------------------------------------------------------
 # expand
 
 def cmd_expand(args) -> int:
     bound = _check_bound(args.oracle_bound)
-    kind, g = _parse_target(args.target)
+    g, _ = _parse_target(args.target)
     cache = _load_cache(args.cache)
     if args.oracle:
-        X = csf_oracle(g if kind == "tree" else spider_to_tree(g), max_n=bound)
-    elif kind == "spider":
+        X = csf_oracle(g, max_n=bound)
+    elif isinstance(g, Spider):
         X = spider_csf(g, cache)
     else:
         X = tree_csf(g, cache, max_n=bound)
@@ -245,7 +214,7 @@ def _parse_range(args) -> tuple[int, int]:
         lo, sep, hi = args.range.partition("..")
         return (int(lo), int(hi)) if sep else (int(lo), int(lo))
     if args.max_n:
-        return (2, int(args.max_n))
+        return (2, args.max_n)
     raise ValueError("census needs a range (like 4..12) or --max-n")
 
 
@@ -271,42 +240,32 @@ def _census_init(kind, mode, bound, cache_path=None):
 
 
 def _census_one(payload):
-    kind = _WORKER_STATE["kind"]
     mode = _WORKER_STATE["mode"]
-    bound = _WORKER_STATE["bound"]
     cache = _WORKER_STATE["cache"]
-    if kind == "spiders":
-        s = Spider(payload)
-        try:
-            res = run_battery(s, mode=mode, cache=cache, max_n=bound)
-        except OracleBoundError:
-            # too large to expand: report the one-sided verdict instead
-            res = run_battery(s, mode="criteria_only", cache=cache)
-        return _row_from_result(res, s)
-    n, edges = payload
-    t = Tree(n, edges)
-    label = "T" + "/".join(f"{u}-{v}" for u, v in sorted(edges)) if n > 1 else "T1"
-    res = _analyze_tree(t, label, mode, cache, bound)
-    row = _row_from_result(res, t)
-    row["tree"] = t.to_text()
-    return row
+    g = Spider(payload) if _WORKER_STATE["kind"] == "spiders" else Tree(*payload)
+    try:
+        res = run_battery(g, mode=mode, cache=cache, max_n=_WORKER_STATE["bound"])
+    except OracleBoundError:
+        # too large to expand: report the one-sided verdict instead
+        res = run_battery(g, mode="criteria_only", cache=cache)
+    return _row_from_result(res, g)
 
 
 def _row_from_result(res: BatteryResult, g) -> dict:
     first = res.first_trigger()
-    if isinstance(g, Spider):
-        n, d = g.n, g.d
-    else:
-        n, d = g.n, max((g.degree(v) for v in range(g.n)), default=0)
-    return {
+    tree = isinstance(g, Tree)
+    row = {
         "graph": res.graph,
-        "n": n,
-        "d": d,
+        "n": g.n,
+        "d": max(map(g.degree, range(g.n)), default=0) if tree else g.d,
         "first_trigger": first.name if first else "",
         "e_positive": "unknown" if res.e_positive is None else res.e_positive,
         "witness": _witness_str(first) if first else "",
         "criteria": [r.to_json_obj() for r in res.reports],
     }
+    if tree:
+        row["tree"] = g.to_text()
+    return row
 
 
 def _csv_row(row) -> str:
@@ -343,8 +302,14 @@ def _read_journal(path, header) -> tuple[list[dict], int]:
 def cmd_census(args) -> int:
     bound = _check_bound(args.oracle_bound)
     lo, hi = _parse_range(args)
-    legs = int(args.legs) if args.legs else None
-    if args.kind == "trees" and legs:
+    legs = args.legs
+    if max(lo, 2 if args.kind == "spiders" else 1) > hi:
+        raise ValueError(f"no {args.kind} with {lo}..{hi} vertices")
+    if args.kind == "trees" and hi > MAX_TREE_N:
+        raise ValueError(f"tree censuses stop at n = {MAX_TREE_N}, got {hi}")
+    if legs is not None and legs < 1:
+        raise ValueError(f"--legs must be at least 1, got {legs}")
+    if legs is not None and args.kind == "trees":
         raise ValueError("--legs applies to spider censuses only")
     items = list(_census_items(args.kind, lo, hi, legs))
 

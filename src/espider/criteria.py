@@ -15,7 +15,7 @@ from math import gcd, isqrt
 
 from espider.csf import (CsfCache, DEFAULT_TREE_ORACLE_BOUND, OracleBoundError,
                          coeff_four_leg, coeff_three_two, spider_csf,
-                         three_two_key)
+                         three_two_key, tree_csf)
 from espider.graphs import (Spider, Tree, reduce_to_spider,
                             spider_mod_type_info)
 from espider.partitions import Partition
@@ -460,65 +460,73 @@ class BatteryResult:
 MODES = ("criteria_only", "with_expansion", "criteria_then_expansion")
 
 
-def run_battery(s: Spider, mode: str = "criteria_only",
+def run_battery(g: Spider | Tree, mode: str = "criteria_only",
                 cache: CsfCache | None = None,
                 max_n: int | None = None,
                 include_weak_variety: bool = False) -> BatteryResult:
-    """Run the whole criterion battery on one spider.
+    """Run the criterion battery on one spider or tree.
 
-    Modes: ``criteria_only`` never expands (verdict None unless a criterion
-    fires); ``with_expansion`` always expands (within the oracle bound) and
-    re-verifies every witness against the exact expansion;
+    A spider gets every criterion; a tree gets ``tree_battery``, whose
+    missing types carry over from the spiders it reduces to.  Modes:
+    ``criteria_only`` never expands (verdict None unless a criterion
+    fires); ``with_expansion`` always expands (within the size bound) and
+    re-verifies every witness against the graph and the exact expansion;
     ``criteria_then_expansion`` expands only when no criterion fired.
+    The weak variety condition has a text witness that does not carry
+    over to trees, so it is refused there.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    reports = [mod_test_scan(s)]
-    reports += variety_conditions(s, include_weak=include_weak_variety)
-    reports += [qm_test(s), sqrt_bound(s), degree_bound(s), six_leg(s),
-                four_leg_q(s), two_odd_legs(s)]
-    result = BatteryResult(str(s), reports,
+    if isinstance(g, Tree):
+        if include_weak_variety:
+            raise ValueError("the weak variety condition applies to spiders only")
+        reports = tree_battery(g)
+    else:
+        reports = [mod_test_scan(g)]
+        reports += variety_conditions(g, include_weak=include_weak_variety)
+        reports += [qm_test(g), sqrt_bound(g), degree_bound(g), six_leg(g),
+                    four_leg_q(g), two_odd_legs(g)]
+    result = BatteryResult(str(g), reports,
                            False if any(r.triggered for r in reports) else None)
     if mode == "criteria_only":
         return result
     if mode == "criteria_then_expansion" and result.any_triggered:
         return result
 
-    bound = max_n if max_n is not None else DEFAULT_TREE_ORACLE_BOUND
-    if s.n > bound:
-        raise OracleBoundError(
-            f"{s.n} vertices exceeds the expansion bound {bound}")
-    expansion = spider_csf(s, cache)
+    if isinstance(g, Tree):
+        expansion = tree_csf(g, cache, max_n=max_n)
+    else:
+        bound = max_n if max_n is not None else DEFAULT_TREE_ORACLE_BOUND
+        if g.n > bound:
+            raise OracleBoundError(
+                f"{g.n} vertices exceeds the expansion bound {bound}")
+        expansion = spider_csf(g, cache)
     negative = expansion.first_negative()
     result.expansion = expansion
     result.negative_term = negative
     result.e_positive = negative is None
-    _verify_witnesses(s, reports, expansion)
+    _verify_witnesses(g, reports, expansion)
     if result.any_triggered and negative is None:
         raise CriterionSoundnessError(
-            f"criteria fired on {s} but the expansion is e-positive")
+            f"criteria fired on {g} but the expansion is e-positive")
     return result
 
 
-def _verify_witnesses(s: Spider, reports, expansion: EExpansion | None):
+def _verify_witnesses(g: Spider | Tree, reports, expansion: EExpansion):
     for rep in reports:
         if not (rep.triggered and rep.witness):
             continue
         w = rep.witness
         if w.kind == "missing_type":
-            if s.has_connected_partition(w.partition):
+            if g.has_connected_partition(w.partition):
                 raise CriterionSoundnessError(
-                    f"{rep.name} on {s}: witness type {w.partition} is present")
-        elif w.kind == "negative_coefficient" and expansion is not None:
+                    f"{rep.name} on {g}: witness type {w.partition} is present")
+        elif w.kind == "negative_coefficient":
             got = expansion.coefficient(w.partition)
             if got != w.value:
                 raise CriterionSoundnessError(
-                    f"{rep.name} on {s}: coefficient at {w.partition} is "
+                    f"{rep.name} on {g}: coefficient at {w.partition} is "
                     f"{got}, witness claims {w.value}")
-
-
-TREE_CRITERIA_NOTE = ("only missing-partition criteria transfer from the "
-                      "reduced spider to the tree")
 
 
 def tree_battery(t: Tree) -> list[CriterionReport]:
@@ -539,6 +547,3 @@ def tree_battery(t: Tree) -> list[CriterionReport]:
             reports.append(rep)
     return reports
 
-
-def tree_battery_triggered(t: Tree) -> bool:
-    return any(r.triggered for r in tree_battery(t))

@@ -176,6 +176,14 @@ class Tree:
     def __repr__(self):
         return f"Tree({self.n}, {sorted(self.edges)})"
 
+    def __str__(self):
+        """T<u>-<v>/... over the sorted edges; T1 for the single vertex."""
+        return "T" + ("/".join(f"{u}-{v}" for u, v in sorted(self.edges)) or "1")
+
+    def has_connected_partition(self, typ: Partition) -> bool:
+        """Does deleting some edges leave components of sizes typ?"""
+        return has_connected_partition(self, typ)
+
     def to_text(self) -> str:
         lines = [str(self.n)]
         lines += [f"{u} {v}" for u, v in sorted(self.edges)]
@@ -570,11 +578,15 @@ def canonical_form(t: Tree) -> tuple[int, ...]:
     return min(_canonical_rooted_seq(t, c) for c in tree_centers(t))
 
 
-def enumerate_trees(n: int, bound: int = 18) -> Iterator[Tree]:
+# Largest n enumerate_trees accepts: its cost grows about threefold per vertex.
+MAX_TREE_N = 18
+
+
+def enumerate_trees(n: int) -> Iterator[Tree]:
     """One representative per isomorphism class of free trees on n vertices,
     in increasing canonical-form order."""
-    if not 1 <= n <= bound:
-        raise ValueError(f"n must be in 1..{bound}, got {n}")
+    if not 1 <= n <= MAX_TREE_N:
+        raise ValueError(f"n must be in 1..{MAX_TREE_N}, got {n}")
     seen = {}
     for seq in _rooted_level_sequences(n):
         t = _levels_to_tree(seq)

@@ -93,6 +93,22 @@ class _Expansion:
                 terms.pop(key, None)
         return type(self)(self.degree, terms)
 
+    def __mul__(self, other):
+        # e_lam * e_mu = e_{lam union mu}, and likewise for p: keys merge
+        # as multisets.
+        if self.is_zero() or other.is_zero():
+            return type(self).zero()
+        terms: dict[Partition, int] = {}
+        for ka, ca in self.terms.items():
+            for kb, cb in other.terms.items():
+                key = Partition(ka.parts + kb.parts)
+                c = terms.get(key, 0) + ca * cb
+                if c:
+                    terms[key] = c
+                else:
+                    terms.pop(key, None)
+        return type(self)(self.degree + other.degree, terms)
+
     def __neg__(self):
         return type(self)(self.degree, {k: -c for k, c in self.terms.items()})
 
@@ -116,21 +132,6 @@ class EExpansion(_Expansion):
 
     __slots__ = ()
     _basis = "e"
-
-    def __mul__(self, other: "EExpansion") -> "EExpansion":
-        # e_lam * e_mu = e_{lam union mu}: keys merge as multisets.
-        if self.is_zero() or other.is_zero():
-            return EExpansion.zero()
-        terms: dict[Partition, int] = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                key = Partition(ka.parts + kb.parts)
-                c = terms.get(key, 0) + ca * cb
-                if c:
-                    terms[key] = c
-                else:
-                    terms.pop(key, None)
-        return EExpansion(self.degree + other.degree, terms)
 
     def first_negative(self) -> tuple[Partition, int] | None:
         """Reverse-lexicographically first negative term, or None."""
@@ -200,26 +201,15 @@ class PExpansion(_Expansion):
     __slots__ = ()
     _basis = "p"
 
-    def __mul__(self, other: "PExpansion") -> "PExpansion":
-        if self.is_zero() or other.is_zero():
-            return PExpansion.zero()
-        terms: dict[Partition, int] = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                key = Partition(ka.parts + kb.parts)
-                c = terms.get(key, 0) + ca * cb
-                if c:
-                    terms[key] = c
-                else:
-                    terms.pop(key, None)
-        return PExpansion(self.degree + other.degree, terms)
-
     def to_e(self) -> EExpansion:
         """Exact elementary-basis expansion of the same function."""
-        total = EExpansion.zero()
+        if self.is_zero():
+            return EExpansion.zero()
+        acc: dict[Partition, int] = {}
         for key, coeff in self.terms.items():
-            total = total + p_monomial_in_e(key.parts).scale(coeff)
-        return total
+            for ekey, ecoeff in p_monomial_in_e(key.parts).terms.items():
+                acc[ekey] = acc.get(ekey, 0) + coeff * ecoeff
+        return EExpansion(self.degree, acc)
 
 
 @lru_cache(maxsize=None)

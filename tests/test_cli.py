@@ -1,7 +1,10 @@
 import json
 import os
 
+import pytest
+
 from espider import acceptance, cli
+from espider.graphs import Tree, mn_tree
 
 
 def run_cli(capsys, *argv):
@@ -28,6 +31,21 @@ def test_analyze_tree_file(capsys, tmp_path):
     f.write_text("7\n0 1\n0 2\n0 3\n0 4\n0 5\n0 6\n")
     code, out = run_cli(capsys, "analyze", str(f))
     assert code == 1 and "six_leg" in out
+
+
+def test_analyze_tree_input_errors(capsys, tmp_path):
+    # two 21-vertex non-spider trees: criteria fire on M_9 and stay silent
+    # on the double broom; neither may skip its due expansion quietly
+    broom = [(0, 2), (0, 3), (1, 4), (1, 5), (0, 6), (20, 1)]
+    broom += [(v, v + 1) for v in range(6, 20)]
+    for name, t in (("m9", mn_tree(9)), ("broom", Tree(21, broom))):
+        f = tmp_path / f"{name}.txt"
+        f.write_text(t.to_text())
+        code = cli.main(["analyze", str(f), "--mode", "with_expansion"])
+        captured = capsys.readouterr()
+        assert code == 2 and "exceeds" in captured.err and captured.out == ""
+        code, _ = run_cli(capsys, "analyze", str(f), "--weak-variety")
+        assert code == 2
 
 
 def test_analyze_json_schema(capsys):
@@ -109,6 +127,28 @@ def test_census_oversize_expansion_degrades_to_unknown(capsys):
     assert "unknown" in out.strip().splitlines()[-1]
 
 
+def test_census_oversize_tree_expansion_degrades(capsys):
+    # the oracle bound 8 is below n = 9: non-spider trees keep their
+    # criteria-only verdicts, spider trees still expand
+    _, criteria = run_cli(capsys, "census", "trees", "9..9", "--format", "json",
+                          "--mode", "criteria_only")
+    code, out = run_cli(capsys, "census", "trees", "9..9", "--format", "json",
+                        "--mode", "with_expansion", "--oracle-bound", "8")
+    assert code == 0
+    rows = [json.loads(line) for line in out.splitlines()[:-1]]
+    expected = [json.loads(line) for line in criteria.splitlines()[:-1]]
+    assert len(rows) == len(expected) == 47
+    spider_rows = 0
+    for row, crit in zip(rows, expected):
+        if Tree.from_text(row["tree"]).is_spider():
+            spider_rows += 1
+            assert row["e_positive"] in (True, False)
+        else:
+            assert row == crit
+    assert 0 < spider_rows < 47
+    assert any(row["e_positive"] == "unknown" for row in rows)
+
+
 def test_census_legs_filter_and_trees(capsys):
     code, out = run_cli(capsys, "census", "spiders", "--max-n", "8",
                         "--legs", "4")
@@ -126,6 +166,35 @@ def test_census_range_errors(capsys):
     assert code == 2
     code, _ = run_cli(capsys, "census", "trees", "4..6", "--legs", "3")
     assert code == 2
+
+
+def test_census_input_checked_before_enumeration(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated before the input was checked")
+
+    monkeypatch.setattr(cli, "enumerate_trees", refuse)
+    monkeypatch.setattr(cli, "enumerate_spiders", refuse)
+    for argv in (["trees", "4..30"], ["trees", "--max-n", "19"],
+                 ["spiders", "12..4"], ["spiders", "1..1"],
+                 ["spiders", "4..8", "--legs", "-1"],
+                 ["spiders", "4..8", "--legs", "0"]):
+        code, out = run_cli(capsys, "census", *argv)
+        assert code == 2 and out == "", argv
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("WORKERS", ["census", "spiders", "4..5"]),
+    ("ORACLE_BOUND", ["analyze", "S[1,1,1]"]),
+    ("MAX_N", ["census", "spiders"]),
+    ("MAX_N", ["conjectures"]),
+    ("LEGS", ["census", "spiders", "4..5"]),
+])
+def test_malformed_env_value_exits_2(capsys, monkeypatch, name, argv):
+    monkeypatch.setenv(f"ESPIDER_{name}", "x")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "invalid int value: 'x'" in capsys.readouterr().err
 
 
 def test_census_resume_byte_identical(capsys, tmp_path):

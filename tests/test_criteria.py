@@ -3,10 +3,9 @@ import pytest
 from espider.criteria import (CriterionReport, CriterionSoundnessError,
                               Witness, degree_bound, four_leg_q, mod_test,
                               mod_test_scan, qm_test, run_battery, six_leg,
-                              sqrt_bound, tree_battery,
-                              tree_battery_triggered, two_odd_legs,
+                              sqrt_bound, tree_battery, two_odd_legs,
                               variety_conditions)
-from espider.csf import CsfCache, spider_csf, tree_csf
+from espider.csf import CsfCache, OracleBoundError, spider_csf, tree_csf
 from espider.graphs import (Spider, enumerate_spiders, enumerate_trees,
                             mn_tree, spider_to_tree)
 from espider.partitions import Partition
@@ -159,7 +158,6 @@ def test_battery_on_known_spiders():
 def test_battery_mode_gating():
     with pytest.raises(ValueError):
         run_battery(Spider([2, 1]), mode="bogus")
-    from espider.csf import OracleBoundError
     with pytest.raises(OracleBoundError):
         run_battery(Spider([30, 2, 1]), mode="with_expansion")
     # criteria_then_expansion skips the expansion when criteria fired
@@ -192,7 +190,7 @@ def test_witness_validity_small():
 def test_tree_battery_mn_trees():
     # M_2 is e-positive even though it reduces to the non-e-positive
     # S(4,1,1); no missing-partition criterion may fire
-    assert not tree_battery_triggered(mn_tree(2))
+    assert not run_battery(mn_tree(2), mode="criteria_only").any_triggered
     assert tree_csf(mn_tree(2)).is_e_positive()
     assert not spider_csf(Spider([4, 1, 1])).is_e_positive()
 
@@ -208,8 +206,35 @@ def test_tree_battery_soundness():
     cache = CsfCache()
     for n in range(4, 13):
         for t in enumerate_trees(n):
-            if tree_battery_triggered(t):
+            if run_battery(t, mode="criteria_only").any_triggered:
                 assert not tree_csf(t, cache).is_e_positive(), t
+
+
+def test_battery_on_trees_every_mode():
+    cache = CsfCache()
+    for n in range(1, 11):
+        for t in enumerate_trees(n):
+            fired = any(r.triggered for r in tree_battery(t))
+            res = run_battery(t, mode="criteria_only")
+            assert res.graph == str(t) and res.expansion is None
+            assert res.e_positive is (False if fired else None), t
+            X = tree_csf(t, cache)
+            res = run_battery(t, mode="with_expansion", cache=cache)
+            assert res.expansion == X and res.any_triggered == fired, t
+            assert res.e_positive == X.is_e_positive(), t
+            res = run_battery(t, mode="criteria_then_expansion", cache=cache)
+            assert (res.expansion is None) == fired, t
+            assert res.e_positive == X.is_e_positive(), t
+
+
+def test_battery_tree_bounds_and_weak_variety():
+    big = mn_tree(9)  # 21 vertices, not a spider
+    with pytest.raises(OracleBoundError):
+        run_battery(big, mode="with_expansion")
+    res = run_battery(big, mode="criteria_then_expansion")
+    assert res.e_positive is False and res.expansion is None
+    with pytest.raises(ValueError, match="spiders only"):
+        run_battery(mn_tree(2), include_weak_variety=True)
 
 
 def test_witness_json_shape():
