@@ -8,25 +8,29 @@ component sizes of (V, A).
 Two algorithms compute it, and ``subset_type_census`` picks between them
 from the edges alone:
 
-* Forests use a rooted dynamic program.  Each vertex keeps a map
-  ``(open block size, closed block multiset) -> signed count`` for the
-  subsets of its subtree's edges, where the open block is the one holding
-  the vertex.  Each child merges in two ways: keep the edge (the open
-  blocks join, the sign flips) or cut it (the child's open block closes).
-  Components multiply at the end.  The cost grows with the number of
-  block-size types, not with 2^|E|.
+* Forests use a rooted dynamic program.  Each vertex keeps a map from
+  state keys to signed counts for the subsets of its subtree's edges.  A
+  key holds the size of the open block, the one holding the vertex, in its
+  lowest field and the packed multiset of closed blocks above it, so two
+  states combine by adding keys.  Each child merges in two ways: keep the
+  edge (the open blocks join, the sign flips) or cut it (the child's open
+  block closes).  Components multiply at the end.  The cost grows with the
+  number of block-size types, not with 2^|E|.
 
 * Graphs with a cycle (line graphs, for instance) use an include/exclude
   walk over all 2^|E| subsets.  It shares union-find work across subsets
   with a common prefix; undo is a single parent-link revert because unions
   are by size with no path compression.
 
-Both keep a multiset of block sizes as one integer with a counter field of
-``n.bit_length()`` bits per size, so adding a block, or merging two
-multisets, is one integer addition.
+Both keep a multiset of block sizes as its packed partition key
+(``partitions.pack``), so adding a block, or merging two multisets, is one
+integer addition, and the census comes out keyed the way expansions are.
 """
 
 from __future__ import annotations
+
+from espider.partitions import FIELD_BITS, MAX_PACKED_WEIGHT
+from espider.symfunc import add_product
 
 # No compiled kernel exists; perfbench/child.py and perfbench/tracer.py read this flag.
 HAVE_COMPILED = False
@@ -50,26 +54,25 @@ def is_forest(n: int, edges) -> bool:
     return True
 
 
-def subset_type_census(n: int, edges: list[tuple[int, int]]) -> dict[tuple[int, ...], int]:
+def subset_type_census(n: int, edges: list[tuple[int, int]]) -> dict[int, int]:
     """Signed count of edge subsets per component-size partition.
 
-    Returns {partition tuple (descending): sum over subsets of (-1)^|subset|}.
+    Returns {packed partition key: sum over subsets of (-1)^|subset|}.
     Entries that cancel to zero are dropped.
     """
-    if n < 1:
-        raise ValueError("need at least one vertex")
+    if not 1 <= n <= MAX_PACKED_WEIGHT:
+        raise ValueError(f"need 1 to {MAX_PACKED_WEIGHT} vertices, got {n}")
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise ValueError(f"bad edge ({u}, {v})")
-    shift = n.bit_length()
     if is_forest(n, edges):
-        acc = _forest_census(n, edges, shift)
+        acc = _forest_census(n, edges)
     else:
-        acc = _walk_census(n, edges, shift)
-    return {_decode(key, shift): c for key, c in acc.items() if c}
+        acc = _walk_census(n, edges)
+    return {key: c for key, c in acc.items() if c}
 
 
-def _forest_census(n, edges, shift) -> dict[int, int]:
+def _forest_census(n, edges) -> dict[int, int]:
     adj = [[] for _ in range(n)]
     for u, v in edges:
         adj[u].append(v)
@@ -88,45 +91,38 @@ def _forest_census(n, edges, shift) -> dict[int, int]:
                     order.append(w)
         states = {}
         for v in reversed(order):
-            state = {(1, 0): 1}
+            state = {1: 1}
             for w in adj[v]:
                 child = states.pop(w, None)
                 if child is not None:
-                    state = _join(state, child, shift)
+                    state = _join(state, child)
             states[v] = state
-        component = _close(states[root], shift)
+        component = {k >> FIELD_BITS: c for k, c in _close(states[root]).items()}
         product = {}
-        for a, ca in total.items():
-            for b, cb in component.items():
-                product[a + b] = product.get(a + b, 0) + ca * cb
+        add_product(product, total, component)
         total = product
     return total
 
 
-def _close(state, shift) -> dict[int, int]:
-    """Close the open block: {closed multiset key: signed count}."""
+def _close(state) -> dict[int, int]:
+    """Close the open block: the same map with open size 0 in every key."""
     out = {}
-    for (size, closed), count in state.items():
-        key = closed + (1 << shift * (size - 1))
+    for key, count in state.items():
+        size = key & MAX_PACKED_WEIGHT
+        key += (1 << FIELD_BITS * size) - size
         out[key] = out.get(key, 0) + count
     return out
 
 
-def _join(state, child, shift):
+def _join(state, child):
     """Merge a child's map into its parent's across the edge between them."""
-    cut = _close(child, shift)
     out = {}
-    for (size, closed), a in state.items():
-        for (csize, cclosed), b in child.items():
-            key = (size + csize, closed + cclosed)
-            out[key] = out.get(key, 0) - a * b
-        for cclosed, b in cut.items():
-            key = (size, closed + cclosed)
-            out[key] = out.get(key, 0) + a * b
+    add_product(out, state, child, -1)  # keep the edge
+    add_product(out, state, _close(child))  # cut it
     return out
 
 
-def _walk_census(n, edges, shift) -> dict[int, int]:
+def _walk_census(n, edges) -> dict[int, int]:
     parent = list(range(n))
     size = [1] * n
     acc: dict[int, int] = {}
@@ -154,8 +150,9 @@ def _walk_census(n, edges, shift) -> dict[int, int]:
                 su, sv = sv, su
             parent[rv] = ru
             size[ru] = su + sv
-            key2 = key + (1 << (shift * (su + sv - 1))) \
-                       - (1 << (shift * (su - 1))) - (1 << (shift * (sv - 1)))
+            key2 = key + (1 << (FIELD_BITS * (su + sv - 1))) \
+                       - (1 << (FIELD_BITS * (su - 1))) \
+                       - (1 << (FIELD_BITS * (sv - 1)))
             rec(ei + 1, -sign, key2)
             parent[rv] = rv
             size[ru] = su
@@ -163,14 +160,3 @@ def _walk_census(n, edges, shift) -> dict[int, int]:
     rec(0, 1, n)  # empty subset: n singleton components
     return acc
 
-
-def _decode(key: int, shift: int) -> tuple[int, ...]:
-    mask = (1 << shift) - 1
-    parts = []
-    s = 1
-    while key:
-        parts.extend([s] * (key & mask))
-        key >>= shift
-        s += 1
-    parts.reverse()
-    return tuple(parts)

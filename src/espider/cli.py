@@ -38,6 +38,14 @@ def _env(name, fallback=None):
     return os.environ.get(f"ESPIDER_{name}", fallback)
 
 
+class _StoreGiven(argparse.Action):
+    """Store the value and note that the flag was given (not an ESPIDER_ default)."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        setattr(namespace, self.dest + "_given", True)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="espider",
@@ -78,7 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("range", nargs="?",
                     help="vertex range like 4..12 (or a single n)")
     sp.add_argument("--max-n", type=int, default=_env("MAX_N"),
+                    action=_StoreGiven,
                     help="alternative to a range: sweep up to this n")
+    sp.set_defaults(max_n_given=False)
     sp.add_argument("--legs", type=int, default=_env("LEGS"),
                     help="restrict spiders to exactly this many legs")
     sp.add_argument("--workers", type=int, default=_env("WORKERS", "1"),
@@ -208,7 +218,7 @@ def cmd_expand(args) -> int:
 # census
 
 def _parse_range(args) -> tuple[int, int]:
-    if args.range and args.max_n:
+    if args.range and args.max_n_given:
         raise ValueError("give either a range or --max-n, not both")
     if args.range:
         lo, sep, hi = args.range.partition("..")

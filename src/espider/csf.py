@@ -10,7 +10,8 @@ Two independent routes to the e-basis expansion of X_G:
 
 * ``spider_csf`` unhooks the shortest leg of a spider one edge at a time,
   reducing to shorter spiders times paths, with path expansions from the
-  closed-form coefficient ``path_e_coefficient``.  Memoized; comfortably
+  Shareshian-Wachs recurrence (``path_csf``; the closed-form coefficient
+  ``path_e_coefficient`` is its independent check).  Memoized; comfortably
   reaches spiders far beyond oracle scale.
 
 Closed-form coefficient extractors for special keys ((m^q), (2^{n/2}),
@@ -20,12 +21,13 @@ Closed-form coefficient extractors for special keys ((m^q), (2^{n/2}),
 from __future__ import annotations
 
 import os
+from functools import lru_cache
 
 from espider._subsets import is_forest, subset_type_census
 from espider.graphs import (Spider, SimpleGraph, Tree, spider_mod_type_info,
                             spider_to_tree)
-from espider.partitions import Partition, multinomial, partitions_of
-from espider.symfunc import EExpansion, PExpansion
+from espider.partitions import Partition, multinomial, pack
+from espider.symfunc import UNIT, EExpansion, PExpansion, add_product
 
 DEFAULT_TREE_ORACLE_BOUND = 20
 DEFAULT_GRAPH_ORACLE_BOUND = 14
@@ -146,8 +148,7 @@ def csf_oracle(g, max_n: int | None = None) -> EExpansion:
     if len(edges) > HARD_CAP_EDGES:
         raise OracleBoundError(
             f"{len(edges)} edges exceeds the hard cap {HARD_CAP_EDGES}")
-    counts = subset_type_census(n, edges)
-    return PExpansion(n, {Partition(k): c for k, c in counts.items()}).to_e()
+    return PExpansion.from_packed(n, subset_type_census(n, edges)).to_e()
 
 
 def path_e_coefficient(n: int, lam: Partition) -> int:
@@ -176,21 +177,28 @@ def path_e_coefficient(n: int, lam: Partition) -> int:
 
 
 def path_csf(n: int, cache: CsfCache | None = None) -> EExpansion:
-    """e-expansion of the n-vertex path from the closed form, cached."""
+    """e-expansion of the n-vertex path, cached."""
     if n < 1:
         raise ValueError(f"paths need >= 1 vertex, got {n}")
     cache = cache if cache is not None else _DEFAULT_CACHE
     hit = cache.paths.get(n)
-    if hit is not None:
-        return hit
-    terms = {}
-    for lam in partitions_of(n):
-        c = path_e_coefficient(n, lam)
-        if c:
-            terms[lam] = c
-    out = EExpansion(n, terms)
-    cache.paths[n] = out
-    return out
+    if hit is None:
+        hit = cache.paths[n] = _path(n)
+    return hit
+
+
+@lru_cache(maxsize=None)
+def _path(n: int) -> EExpansion:
+    """The Shareshian-Wachs recurrence (their path generating function at
+    t = 1, Adv. Math. 295 (2016)):
+
+        X_{P_n} = e_n + sum_{i=2}^{n} (i-1) e_i X_{P_{n-i}},   X_{P_0} = 1.
+    """
+    acc = {pack((n,)): 1}
+    for i in range(2, n + 1):
+        rest = _path(n - i).terms if i < n else UNIT
+        add_product(acc, {pack((i,)): i - 1}, rest)
+    return EExpansion.from_packed(n, acc)
 
 
 def spider_csf(s: Spider, cache: CsfCache | None = None) -> EExpansion:
@@ -221,12 +229,13 @@ def _spider_csf(legs: tuple[int, ...], cache: CsfCache) -> EExpansion:
     middle = legs[1:-1]
 
     def sub(v):
-        return _spider_csf((v,) + middle, cache)
+        return _spider_csf((v,) + middle, cache).terms
 
-    total = sub(a + b)
+    acc = dict(sub(a + b))
     for k in range(b):
-        total = total + sub(a + k) * path_csf(b - k, cache)
-        total = total - sub(k) * path_csf(a + b - k, cache)
+        add_product(acc, sub(a + k), path_csf(b - k, cache).terms)
+        add_product(acc, sub(k), path_csf(a + b - k, cache).terms, -1)
+    total = EExpansion.from_packed(1 + sum(legs), acc)
     cache.spiders[legs] = total
     return total
 

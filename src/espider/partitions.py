@@ -1,8 +1,9 @@
-"""Integer partitions: canonical value objects, streams, and small helpers.
+"""Integer partitions: canonical value objects, streams, the packed-key
+codec, and small helpers.
 
 A partition is stored weakly decreasing with every part >= 1; construction is
-the single normalization point, so everything downstream (expansion keys, leg
-lists, connected-partition types) may assume sortedness.
+the single normalization point, so everything downstream (leg lists,
+connected-partition types) may assume sortedness.
 """
 
 from __future__ import annotations
@@ -20,9 +21,16 @@ class Partition:
     def __init__(self, parts: Iterable[int] = ()):
         ps = tuple(sorted(parts, reverse=True))
         for p in ps:
-            if not isinstance(p, int) or p < 1:
+            if type(p) is not int or p < 1:
                 raise ValueError(f"parts must be positive integers, got {p!r}")
         object.__setattr__(self, "parts", ps)
+
+    @classmethod
+    def _raw(cls, parts: tuple[int, ...]) -> "Partition":
+        # Internal fast path: parts already sorted and validated.
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "parts", parts)
+        return obj
 
     @property
     def n(self) -> int:
@@ -43,14 +51,6 @@ class Partition:
 
     def __hash__(self):
         return hash(self.parts)
-
-    def __lt__(self, other):
-        # Tuple order on parts; descending sort of equal-weight partitions
-        # gives the reverse-lexicographic stream order used everywhere.
-        return self.parts < other.parts
-
-    def __le__(self, other):
-        return self.parts <= other.parts
 
     def __repr__(self):
         return f"Partition({list(self.parts)})"
@@ -149,14 +149,39 @@ def _gen_parts(n, cap, length):
             yield (first,) + rest
 
 
-def _raw(cls, parts: tuple[int, ...]) -> Partition:
-    # Internal fast path: parts already sorted and validated.
-    obj = object.__new__(cls)
-    object.__setattr__(obj, "parts", parts)
-    return obj
+# Expansions and the subset census key their terms by a packed partition:
+# the count of part s sits in the FIELD_BITS-bit field at bit
+# FIELD_BITS * (s - 1).  Merging two partitions as multisets is then adding
+# their keys, and integer order on keys is the tuple order of the weakly
+# decreasing parts, so descending keys run reverse-lexicographically, (n)
+# first.  A weight of at most MAX_PACKED_WEIGHT keeps every count inside its
+# field; heavier partitions are refused, never let a field carry.
+FIELD_BITS = 8
+MAX_PACKED_WEIGHT = (1 << FIELD_BITS) - 1
 
 
-Partition._raw = classmethod(_raw)
+def pack(parts: Iterable[int]) -> int:
+    """The packed key of a partition given by its (positive) parts."""
+    key = weight = 0
+    for p in parts:
+        key += 1 << FIELD_BITS * (p - 1)
+        weight += p
+    if weight > MAX_PACKED_WEIGHT:
+        raise ValueError(f"partition weight {weight} exceeds the packed-key "
+                         f"cap {MAX_PACKED_WEIGHT}")
+    return key
+
+
+def unpack(key: int) -> tuple[int, ...]:
+    """The weakly decreasing parts of a packed key."""
+    parts: list[int] = []
+    s = 1
+    while key:
+        parts.extend([s] * (key & MAX_PACKED_WEIGHT))  # the field's count
+        key >>= FIELD_BITS
+        s += 1
+    parts.reverse()
+    return tuple(parts)
 
 
 def multinomial(counts: Iterable[int]) -> int:

@@ -1,10 +1,14 @@
 """Exact homogeneous symmetric functions in the elementary and power-sum bases.
 
-Expansions are sparse maps Partition -> arbitrary-precision signed integer;
-zero coefficients are never stored and every key partitions the declared
-degree.  The power-sum to elementary conversion runs through the Newton
-recurrence and stays integral, so any rational would be a bug and is never
-representable here.
+Expansions are sparse maps from packed partition keys (``partitions.pack``)
+to arbitrary-precision signed integers; zero coefficients are never stored
+and every key partitions the declared degree.  A product of two basis
+elements is the sum of their keys, so every product accumulates in place
+into one dict through ``add_product``.  ``Partition`` objects appear only at
+the API: the public constructor, ``items``, ``coefficient``,
+``first_negative`` and the text and JSON forms.  The power-sum to elementary
+conversion runs through the Newton recurrence and stays integral, so any
+rational would be a bug and is never representable here.
 """
 
 from __future__ import annotations
@@ -14,7 +18,24 @@ from functools import lru_cache
 from math import comb
 from typing import Iterator
 
-from espider.partitions import Partition
+from espider.partitions import MAX_PACKED_WEIGHT, Partition, pack, unpack
+
+# The packed terms of the empty product, 1 = e_() = p_().
+UNIT = {0: 1}
+
+
+def add_product(acc: dict[int, int], a: dict[int, int], b: dict[int, int],
+                scale: int = 1) -> None:
+    """acc += scale * a * b on packed terms, in place; cancelled keys stay
+    behind with coefficient zero."""
+    if len(a) > len(b):
+        a, b = b, a
+    get = acc.get
+    for ka, ca in a.items():
+        ca *= scale
+        for kb, cb in b.items():
+            k = ka + kb
+            acc[k] = get(k, 0) + ca * cb
 
 
 class _Expansion:
@@ -23,8 +44,10 @@ class _Expansion:
     __slots__ = ("degree", "terms")
     _basis = "?"
 
-    def __init__(self, degree: int, terms: dict[Partition, int]):
-        clean = {}
+    def __init__(self, degree: int, terms: dict):
+        """Terms keyed by Partition (or anything Partition accepts); each
+        key's weight is checked against the degree."""
+        packed = {}
         for key, coeff in terms.items():
             if not isinstance(key, Partition):
                 key = Partition(key)
@@ -33,21 +56,30 @@ class _Expansion:
             if key.n != degree:
                 raise ValueError(
                     f"key {key} has weight {key.n}, expansion degree is {degree}")
-            clean[key] = coeff
+            packed[pack(key.parts)] = coeff
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", packed)
+
+    @classmethod
+    def from_packed(cls, degree: int, terms: dict[int, int]):
+        """Wrap packed terms of weight ``degree``, dropping zero
+        coefficients; the caller vouches for the weights, which are not
+        re-checked."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "degree", degree)
+        object.__setattr__(obj, "terms", {k: c for k, c in terms.items() if c})
+        return obj
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def zero(cls):
-        return cls(0, {})
+        return cls.from_packed(0, {})
 
     @classmethod
     def single(cls, key, coeff: int = 1):
-        if not isinstance(key, Partition):
-            key = Partition(key)
+        key = Partition(key)
         return cls(key.n, {key: coeff})
 
     def is_zero(self) -> bool:
@@ -56,13 +88,14 @@ class _Expansion:
     def items(self) -> Iterator[tuple[Partition, int]]:
         """Terms in reverse-lexicographic key order, (n) first."""
         for key in sorted(self.terms, reverse=True):
-            yield key, self.terms[key]
+            yield Partition._raw(unpack(key)), self.terms[key]
 
     def coefficient(self, key) -> int:
         """Stored coefficient; zero when absent or of the wrong weight."""
-        if not isinstance(key, Partition):
-            key = Partition(key)
-        return self.terms.get(key, 0)
+        key = Partition(key)
+        if key.n != self.degree:
+            return 0
+        return self.terms.get(pack(key.parts), 0)
 
     def __eq__(self, other):
         if not isinstance(other, _Expansion):
@@ -77,48 +110,39 @@ class _Expansion:
         return hash((self._basis, self.degree, frozenset(self.terms.items())))
 
     def __add__(self, other):
-        if self.is_zero():
-            return other
+        return self._plus(other, 1)
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign: int):
+        # Across bases there is no sum: NotImplemented makes it a TypeError.
+        if type(other) is not type(self):
+            return NotImplemented
         if other.is_zero():
             return self
-        if self.degree != other.degree:
+        if self.degree != other.degree and not self.is_zero():
             raise ValueError(
                 f"degree mismatch: {self.degree} + {other.degree}")
         terms = dict(self.terms)
+        get = terms.get
         for key, coeff in other.terms.items():
-            c = terms.get(key, 0) + coeff
-            if c:
-                terms[key] = c
-            else:
-                terms.pop(key, None)
-        return type(self)(self.degree, terms)
+            terms[key] = get(key, 0) + sign * coeff
+        return self.from_packed(other.degree, terms)
 
     def __mul__(self, other):
-        # e_lam * e_mu = e_{lam union mu}, and likewise for p: keys merge
-        # as multisets.
+        # e_lam * e_mu = e_{lam union mu}, and likewise for p: keys add.
+        if type(other) is not type(self):
+            return NotImplemented
         if self.is_zero() or other.is_zero():
-            return type(self).zero()
-        terms: dict[Partition, int] = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                key = Partition(ka.parts + kb.parts)
-                c = terms.get(key, 0) + ca * cb
-                if c:
-                    terms[key] = c
-                else:
-                    terms.pop(key, None)
-        return type(self)(self.degree + other.degree, terms)
-
-    def __neg__(self):
-        return type(self)(self.degree, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c: int):
-        if c == 0:
-            return type(self).zero()
-        return type(self)(self.degree, {k: c * v for k, v in self.terms.items()})
+            return self.zero()
+        degree = self.degree + other.degree
+        if degree > MAX_PACKED_WEIGHT:
+            raise ValueError(f"product degree {degree} exceeds the packed-key "
+                             f"cap {MAX_PACKED_WEIGHT}")
+        terms: dict[int, int] = {}
+        add_product(terms, self.terms, other.terms)
+        return self.from_packed(degree, terms)
 
     def __repr__(self):
         if self.is_zero():
@@ -135,10 +159,10 @@ class EExpansion(_Expansion):
 
     def first_negative(self) -> tuple[Partition, int] | None:
         """Reverse-lexicographically first negative term, or None."""
-        for key, coeff in self.items():
-            if coeff < 0:
-                return key, coeff
-        return None
+        key = max((k for k, c in self.terms.items() if c < 0), default=None)
+        if key is None:
+            return None
+        return Partition._raw(unpack(key)), self.terms[key]
 
     def is_e_positive(self) -> bool:
         """True when every stored coefficient is nonnegative."""
@@ -153,7 +177,7 @@ class EExpansion(_Expansion):
         total = 0
         for key, coeff in self.terms.items():
             prod = coeff
-            for part in key:
+            for part in unpack(key):
                 prod *= comb(k, part)
             total += prod
         return total
@@ -203,13 +227,10 @@ class PExpansion(_Expansion):
 
     def to_e(self) -> EExpansion:
         """Exact elementary-basis expansion of the same function."""
-        if self.is_zero():
-            return EExpansion.zero()
-        acc: dict[Partition, int] = {}
+        acc: dict[int, int] = {}
         for key, coeff in self.terms.items():
-            for ekey, ecoeff in p_monomial_in_e(key.parts).terms.items():
-                acc[ekey] = acc.get(ekey, 0) + coeff * ecoeff
-        return EExpansion(self.degree, acc)
+            add_product(acc, UNIT, p_monomial_in_e(unpack(key)).terms, coeff)
+        return EExpansion.from_packed(self.degree, acc)
 
 
 @lru_cache(maxsize=None)
@@ -222,13 +243,10 @@ def p_in_e(k: int) -> EExpansion:
     """
     if k < 1:
         raise ValueError(f"p_k needs k >= 1, got {k}")
-    if k == 1:
-        return EExpansion.single((1,))
-    total = EExpansion.single((k,), (-1) ** (k - 1) * k)
+    acc = {pack((k,)): (-1) ** (k - 1) * k}
     for i in range(1, k):
-        term = EExpansion.single((i,)) * p_in_e(k - i)
-        total = total + term.scale((-1) ** (i - 1))
-    return total
+        add_product(acc, {pack((i,)): 1}, p_in_e(k - i).terms, (-1) ** (i - 1))
+    return EExpansion.from_packed(k, acc)
 
 
 @lru_cache(maxsize=None)
@@ -239,4 +257,3 @@ def p_monomial_in_e(parts: tuple[int, ...]) -> EExpansion:
     if len(parts) == 1:
         return p_in_e(parts[0])
     return p_monomial_in_e(parts[:-1]) * p_in_e(parts[-1])
-

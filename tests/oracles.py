@@ -153,7 +153,7 @@ def eval_power_sum(xs, k):
 def eval_e_expansion(expansion, xs):
     """Numeric value of an elementary-basis expansion at the point xs."""
     total = 0
-    for key, coeff in expansion.terms.items():
+    for key, coeff in expansion.items():
         prod = coeff
         for part in key:
             prod *= eval_elementary(xs, part)

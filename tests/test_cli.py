@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -165,6 +166,21 @@ def test_census_range_errors(capsys):
     code, _ = run_cli(capsys, "census", "spiders", "4..6", "--max-n", "9")
     assert code == 2
     code, _ = run_cli(capsys, "census", "trees", "4..6", "--legs", "3")
+    assert code == 2
+
+
+def test_census_range_wins_over_env_max_n(capsys, monkeypatch):
+    monkeypatch.setenv("ESPIDER_MAX_N", "7")
+
+    def sizes(out):
+        rows = csv.reader(l for l in out.splitlines()[1:] if l[:1] != "#")
+        return {row[1] for row in rows}
+
+    code, out = run_cli(capsys, "census", "spiders", "4..6", "--format", "csv")
+    assert code == 0 and sizes(out) == {"4", "5", "6"}
+    code, out = run_cli(capsys, "census", "spiders", "--format", "csv")
+    assert code == 0 and sizes(out) == {str(n) for n in range(2, 8)}
+    code, _ = run_cli(capsys, "census", "spiders", "4..6", "--max-n", "7")
     assert code == 2
 
 

@@ -64,6 +64,20 @@ def test_path_csf_small_values():
     assert path_csf(4) == E([((4,), 4), ((3, 1), 2), ((2, 2), 2)])
 
 
+def test_path_recurrence_matches_closed_form():
+    for n in range(1, 31):
+        closed = EExpansion(n, {lam: path_e_coefficient(n, lam)
+                                for lam in partitions_of(n)})
+        assert path_csf(n, CsfCache()) == closed, n
+
+
+def test_large_spider_counts_colourings():
+    s = Spider([20, 10, 5, 4])
+    X = spider_csf(s, CsfCache())
+    for k in (s.n, s.n + 1):
+        assert X.evaluate_chromatic(k) == k * (k - 1) ** (s.n - 1), k
+
+
 def test_product_example():
     lhs = path_csf(2) * path_csf(3)
     assert lhs == E([((2, 2, 1), 2), ((3, 2), 6)])
@@ -208,7 +222,7 @@ def test_homogeneity_of_engines():
         s = Spider(legs)
         X = spider_csf(s, cache)
         assert X.degree == s.n
-        assert all(k.n == s.n for k in X.terms)
+        assert all(k.n == s.n for k, _ in X.items())
 
 
 def test_cache_round_trip(tmp_path):

@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from espider.partitions import Partition, multinomial, partitions_of
+from espider.partitions import (MAX_PACKED_WEIGHT, Partition, multinomial,
+                                 pack, partitions_of, unpack)
 
 from oracles import pentagonal_partition_count, successor_partitions
 
@@ -19,6 +20,9 @@ def test_invalid_parts_rejected():
         Partition([0])
     with pytest.raises(ValueError):
         Partition([3, -1])
+    for parts in ([True, 2], [False], [True]):
+        with pytest.raises(ValueError):
+            Partition(parts)
 
 
 def test_partitions_of_examples():
@@ -142,3 +146,42 @@ def test_immutability():
     p = Partition([2, 1])
     with pytest.raises(AttributeError):
         p.parts = (3,)
+
+
+# Packed keys: weight at most 8 * 30 = 240 stays under the cap of 255.
+packable = st.lists(st.integers(1, 30), max_size=8)
+
+
+def descending(parts):
+    return tuple(sorted(parts, reverse=True))
+
+
+@given(packable)
+def test_pack_round_trip(parts):
+    assert unpack(pack(parts)) == descending(parts)
+
+
+@given(packable, packable)
+def test_key_order_is_revlex_order(a, b):
+    # pad the lighter partition with ones so both have the same weight
+    w = max(sum(a), sum(b))
+    a, b = descending(a + [1] * (w - sum(a))), descending(b + [1] * (w - sum(b)))
+    assert (pack(a) < pack(b)) == (a < b)
+    assert (pack(a) == pack(b)) == (a == b)
+
+
+@given(st.lists(st.integers(1, 64), min_size=1, max_size=12))
+@settings(max_examples=60)
+def test_pack_refuses_weights_past_the_cap(parts):
+    # top up with ones, the part whose field fills first
+    parts = parts + [1] * max(0, MAX_PACKED_WEIGHT + 1 - sum(parts))
+    with pytest.raises(ValueError):
+        pack(parts)
+
+
+def test_pack_at_the_cap():
+    ones = (1,) * MAX_PACKED_WEIGHT
+    assert unpack(pack(ones)) == ones
+    assert unpack(pack((MAX_PACKED_WEIGHT,))) == (MAX_PACKED_WEIGHT,)
+    with pytest.raises(ValueError):
+        pack(ones + (1,))

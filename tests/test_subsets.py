@@ -2,10 +2,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from espider._subsets import is_forest, subset_type_census
+from espider import _subsets
+from espider._subsets import is_forest
 from espider.graphs import enumerate_trees
+from espider.partitions import MAX_PACKED_WEIGHT, unpack
 
 from oracles import naive_subset_census
+
+
+def subset_type_census(n, edges):
+    """The census with its packed keys read back as partition tuples."""
+    return {unpack(k): c for k, c in _subsets.subset_type_census(n, edges).items()}
 
 
 def test_no_edges():
@@ -79,6 +86,8 @@ def test_repeated_edge_is_a_cycle():
 def test_bad_edges_rejected():
     with pytest.raises(ValueError):
         subset_type_census(0, [])
+    with pytest.raises(ValueError):
+        subset_type_census(MAX_PACKED_WEIGHT + 1, [])
     with pytest.raises(ValueError):
         subset_type_census(2, [(0, 2)])
     with pytest.raises(ValueError):

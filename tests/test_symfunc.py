@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from espider.partitions import Partition, partitions_of
+from espider.partitions import MAX_PACKED_WEIGHT, Partition, partitions_of
 from espider.symfunc import EExpansion, PExpansion, p_in_e, p_monomial_in_e
 
 from oracles import (eval_e_expansion, eval_power_sum, random_points,
@@ -48,7 +48,7 @@ def test_specialization_round_trip():
         exp = p_in_e(k)
         for m in range(1, 7):
             value = sum(c * _prod(binomial(m, part) for part in key)
-                        for key, c in exp.terms.items())
+                        for key, c in exp.items())
             assert value == m, (k, m)
 
 
@@ -72,6 +72,28 @@ def test_add_examples():
 def test_add_degree_mismatch():
     with pytest.raises(ValueError):
         E([((2,), 1)]) + E([((3,), 1)])
+
+
+def test_mixed_bases_raise():
+    e = EExpansion.single((2, 1))
+    p = PExpansion.single((2, 1), 5)
+    pairs = [(e, p), (p, e), (EExpansion.zero(), p), (e, PExpansion.zero()),
+             (e, 3)]
+    for a, b in pairs:
+        with pytest.raises(TypeError):
+            a + b
+        with pytest.raises(TypeError):
+            a - b
+        with pytest.raises(TypeError):
+            a * b
+
+
+def test_product_past_the_key_cap_raises():
+    top = EExpansion.single((MAX_PACKED_WEIGHT,))
+    with pytest.raises(ValueError):
+        top * EExpansion.single((1,))
+    with pytest.raises(ValueError):
+        EExpansion.single((MAX_PACKED_WEIGHT + 1,))
 
 
 def test_multiply_merges_keys():
