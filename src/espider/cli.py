@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 from multiprocessing import Pool
 
 from espider import acceptance
@@ -231,28 +232,24 @@ def _parse_range(args) -> tuple[int, int]:
 def _census_items(kind, lo, hi, legs):
     if kind == "spiders":
         for n in range(max(lo, 2), hi + 1):
-            for s in enumerate_spiders(n, legs=legs):
-                yield s.legs.parts
+            yield from enumerate_spiders(n, legs=legs)
     else:
         for n in range(max(lo, 1), hi + 1):
-            for t in enumerate_trees(n):
-                yield (t.n, tuple(sorted(t.edges)))
+            yield from enumerate_trees(n)
 
 
 _WORKER_STATE = {}
 
 
-def _census_init(kind, mode, bound, cache_path=None):
-    _WORKER_STATE["kind"] = kind
+def _census_init(mode, bound, cache_path=None):
     _WORKER_STATE["mode"] = mode
     _WORKER_STATE["bound"] = bound
     _WORKER_STATE["cache"] = _load_cache(cache_path) if cache_path else CsfCache()
 
 
-def _census_one(payload):
+def _census_one(g):
     mode = _WORKER_STATE["mode"]
     cache = _WORKER_STATE["cache"]
-    g = Spider(payload) if _WORKER_STATE["kind"] == "spiders" else Tree(*payload)
     try:
         res = run_battery(g, mode=mode, cache=cache, max_n=_WORKER_STATE["bound"])
     except OracleBoundError:
@@ -287,26 +284,43 @@ def _csv_row(row) -> str:
                     ("graph", "n", "d", "first_trigger", "e_positive", "witness"))
 
 
-def _read_journal(path, header) -> tuple[list[dict], int]:
-    """Rows already in a census journal, and the byte length of its whole
-    lines.  The first record must be this census's header; a journal
-    without it, or from another census, is refused."""
-    records, whole = [], 0
+def _tally(summary: dict, row: dict):
+    """Count one census row into the summary."""
+    summary["graphs"] += 1
+    summary["criteria_flagged"] += bool(row["first_trigger"])
+    summary["expansion_negative"] += (row["e_positive"] is False
+                                      and not row["first_trigger"])
+    summary["e_positive"] += row["e_positive"] is True
+    summary["unknown"] += row["e_positive"] == "unknown"
+
+
+def _read_journal(path, header, summary) -> tuple[int, int]:
+    """Tally the rows already in a census journal into ``summary``; return
+    their count and the byte length of the journal's whole lines.  The
+    first record must be this census's header; a journal without it, or
+    from another census, is refused."""
+    done = whole = 0
     if not os.path.exists(path):
-        return [], 0
+        return 0, 0
     with open(path, "rb") as fh:
         for line in fh:
             if not line.endswith(b"\n"):
                 break  # torn tail from a killed run
             try:
-                records.append(json.loads(line))
+                record = json.loads(line)
             except ValueError:
                 break
+            if not whole:
+                if record != header:
+                    break
+            else:
+                _tally(summary, record["row"])
+                done += 1
             whole += len(line)
-    if os.path.getsize(path) and records[:1] != [header]:
+    if os.path.getsize(path) and not whole:
         raise ValueError(f"journal {path} has no header for this census "
                          f"({json.dumps(header)}); wrong --resume file?")
-    return [r["row"] for r in records[1:]], whole
+    return done, whole
 
 
 def cmd_census(args) -> int:
@@ -321,23 +335,23 @@ def cmd_census(args) -> int:
         raise ValueError(f"--legs must be at least 1, got {legs}")
     if legs is not None and args.kind == "trees":
         raise ValueError("--legs applies to spider censuses only")
-    items = list(_census_items(args.kind, lo, hi, legs))
+    todo = _census_items(args.kind, lo, hi, legs)
 
-    rows, journal = [], None
+    summary = dict.fromkeys(("graphs", "criteria_flagged", "expansion_negative",
+                             "e_positive", "unknown"), 0)
+    done, journal = 0, None
     if args.resume:
         header = {"census": {"kind": args.kind, "range": [lo, hi],
                              "legs": legs, "mode": args.mode,
                              "oracle_bound": bound}}
-        rows, whole = _read_journal(args.resume, header)
-        if len(rows) > len(items):
+        done, whole = _read_journal(args.resume, header, summary)
+        if sum(1 for _ in islice(todo, done)) < done:
             raise ValueError("journal longer than the census; "
                              "wrong --resume file?")
         journal = open(args.resume, "a")
         journal.truncate(whole)  # cut a torn tail before appending
         if not whole:
             journal.write(json.dumps(header) + "\n")
-    done = len(rows)
-    todo = items[done:]
 
     if args.workers > 1:
         # workers preload the cache read-only; their additions stay local
@@ -346,19 +360,19 @@ def cmd_census(args) -> int:
                   f"{args.cache} is read-only; it will not be written",
                   file=sys.stderr)
         pool = Pool(args.workers, initializer=_census_init,
-                    initargs=(args.kind, args.mode, bound, args.cache))
+                    initargs=(args.mode, bound, args.cache))
         stream = pool.imap(_census_one, todo, chunksize=8)
     else:
-        _census_init(args.kind, args.mode, bound, args.cache)
+        _census_init(args.mode, bound, args.cache)
         pool = None
         stream = map(_census_one, todo)
 
-    if args.format == "csv" and not rows:
+    if args.format == "csv" and not done:
         print(CSV_HEADER)
-    for i, row in enumerate(stream):
-        rows.append(row)
+    for i, row in enumerate(stream, done):
+        _tally(summary, row)
         if journal:
-            journal.write(json.dumps({"i": done + i, "row": row}) + "\n")
+            journal.write(json.dumps({"i": i, "row": row}) + "\n")
             journal.flush()
         _print_census_row(row, args.format)
     if pool:
@@ -369,15 +383,6 @@ def cmd_census(args) -> int:
     if journal:
         journal.close()
 
-    summary = {
-        "graphs": len(rows),
-        "criteria_flagged": sum(1 for r in rows if r["first_trigger"]),
-        "expansion_negative": sum(1 for r in rows
-                                  if r["e_positive"] is False
-                                  and not r["first_trigger"]),
-        "e_positive": sum(1 for r in rows if r["e_positive"] is True),
-        "unknown": sum(1 for r in rows if r["e_positive"] == "unknown"),
-    }
     if args.format == "json":
         print(json.dumps({"summary": summary}))
     elif args.format == "csv":

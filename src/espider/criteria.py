@@ -11,6 +11,7 @@ computed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gcd, isqrt
 
 from espider.csf import (CsfCache, DEFAULT_TREE_ORACLE_BOUND, OracleBoundError,
@@ -513,14 +514,18 @@ def run_battery(g: Spider | Tree, mode: str = "criteria_only",
 
 
 def _verify_witnesses(g: Spider | Tree, reports, expansion: EExpansion):
+    absent = set()  # missing types already re-checked on g
     for rep in reports:
         if not (rep.triggered and rep.witness):
             continue
         w = rep.witness
         if w.kind == "missing_type":
+            if w.partition in absent:
+                continue
             if g.has_connected_partition(w.partition):
                 raise CriterionSoundnessError(
                     f"{rep.name} on {g}: witness type {w.partition} is present")
+            absent.add(w.partition)
         elif w.kind == "negative_coefficient":
             got = expansion.coefficient(w.partition)
             if got != w.value:
@@ -533,17 +538,24 @@ def tree_battery(t: Tree) -> list[CriterionReport]:
     """Reduce at every vertex of degree >= 3 and run the missing-partition
     criteria on the reduced spider.  A missing type there is missing in the
     tree as well, so any trigger proves the tree not e-positive.
-    Coefficient-based criteria do not transfer and are not run."""
+    Coefficient-based criteria do not transfer and are not run.  Each
+    report is a fresh copy stamped with its vertex and spider."""
     reports: list[CriterionReport] = []
     for v in range(t.n):
         if t.degree(v) < 3:
             continue
         sp = reduce_to_spider(t, v)
-        subs = [mod_test_scan(sp)]
-        subs += variety_conditions(sp)
-        subs += [qm_test(sp), six_leg(sp)]
-        for rep in subs:
-            rep.params = {**rep.params, "vertex": v, "spider": str(sp)}
-            reports.append(rep)
+        stamp = {"vertex": v, "spider": str(sp)}
+        reports += [CriterionReport(rep.name, rep.triggered, rep.witness,
+                                    {**rep.params, **stamp})
+                    for rep in _spider_reports(sp.legs)]
     return reports
 
+
+@lru_cache(maxsize=4096)  # trees up to MAX_TREE_N reduce to 1,122 spiders
+def _spider_reports(legs: Partition) -> tuple[CriterionReport, ...]:
+    """The missing-partition criteria on the spider with these legs, shared
+    by every tree that reduces to it: copy a report, never mutate one."""
+    sp = Spider(legs)
+    return (mod_test_scan(sp), *variety_conditions(sp), qm_test(sp),
+            six_leg(sp))

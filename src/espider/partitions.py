@@ -61,6 +61,10 @@ class Partition:
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, not __setattr__
+        return Partition, (self.parts,)
+
     def exponential_form(self) -> list[tuple[int, int]]:
         """Regroup as (part value, multiplicity) pairs, values decreasing."""
         out: list[tuple[int, int]] = []

@@ -239,6 +239,60 @@ def ahu_canonical(n, edges):
     return min(encode(c, -1) for c in centroids)
 
 
+def free_trees_unpruned(n):
+    """Sorted edge lists of one tree per isomorphism class, by the package's
+    former enumerator: walk every canonical rooted level sequence in
+    decreasing lexicographic order (the successor rule), build each tree,
+    keep the first tree of every class by its center-rooted canonical level
+    sequence, and list the classes in increasing canonical order."""
+    def level_sequences():
+        seq = list(range(n))  # the path
+        while True:
+            yield seq
+            p = max((i for i in range(1, n) if seq[i] > 1), default=0)
+            if not p:
+                return
+            q = max(i for i in range(p) if seq[i] == seq[p] - 1)
+            for i in range(p, n):
+                seq[i] = seq[i - (p - q)]
+
+    def canonical(adj):
+        deg = [len(a) for a in adj]
+        layer = [v for v in range(n) if deg[v] <= 1]
+        left = n - len(layer)
+        while left:  # strip leaves down to the 1 or 2 centers
+            nxt = []
+            for v in layer:
+                for w in adj[v]:
+                    deg[w] -= 1
+                    if deg[w] == 1:
+                        nxt.append(w)
+            left -= len(nxt)
+            layer = nxt
+
+        def rooted(v, parent, depth):
+            out = (depth,)
+            for sub in sorted((rooted(w, v, depth + 1)
+                               for w in adj[v] if w != parent), reverse=True):
+                out += sub
+            return out
+
+        return min(rooted(c, -1, 0) for c in layer)
+
+    first = {}
+    for seq in level_sequences():
+        adj = [[] for _ in range(n)]
+        edges, latest = [], [0] * n
+        for i in range(1, n):
+            u = latest[seq[i] - 1]
+            edges.append((u, i))
+            adj[u].append(i)
+            adj[i].append(u)
+            latest[seq[i]] = i
+        first.setdefault(canonical(adj), sorted(edges))
+    return [first[form] for form in sorted(first)]
+
+
 def free_tree_count_by_prufer(n):
     """Number of isomorphism classes of trees on n vertices, found the slow
     honest way."""

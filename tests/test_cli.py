@@ -148,6 +148,15 @@ def test_census_oversize_tree_expansion_degrades(capsys):
             assert row == crit
     assert 0 < spider_rows < 47
     assert any(row["e_positive"] == "unknown" for row in rows)
+    # the summary counts the rows as they went out
+    flagged = [any(c["triggered"] for c in row["criteria"]) for row in rows]
+    verdicts = [row["e_positive"] for row in rows]
+    assert json.loads(out.splitlines()[-1])["summary"] == {
+        "graphs": 47, "criteria_flagged": sum(flagged),
+        "expansion_negative": sum(v is False and not f
+                                  for v, f in zip(verdicts, flagged)),
+        "e_positive": verdicts.count(True),
+        "unknown": verdicts.count("unknown")}
 
 
 def test_census_legs_filter_and_trees(capsys):
@@ -232,6 +241,24 @@ def test_census_resume_byte_identical(capsys, tmp_path):
     assert code == 2
 
 
+def test_census_resume_refuses_journal_longer_than_census(capsys, tmp_path):
+    j = tmp_path / "trees.jsonl"
+    code, _ = run_cli(capsys, "census", "trees", "4..7", "--format", "csv",
+                      "--resume", str(j))
+    assert code == 0
+    lines = j.read_text().splitlines()
+    j.write_text("\n".join(lines + lines[-1:]) + "\n")
+    code, out = run_cli(capsys, "census", "trees", "4..7", "--format", "csv",
+                        "--resume", str(j))
+    assert code == 2 and out == ""
+    # a journal holding the whole census only prints the summary
+    j.write_text("\n".join(lines) + "\n")
+    _, full = run_cli(capsys, "census", "trees", "4..7", "--format", "csv")
+    code, out = run_cli(capsys, "census", "trees", "4..7", "--format", "csv",
+                        "--resume", str(j))
+    assert code == 0 and out.splitlines() == full.splitlines()[-1:]
+
+
 def test_census_resume_refuses_foreign_journal(capsys, tmp_path):
     j = tmp_path / "spiders.jsonl"
     code, _ = run_cli(capsys, "census", "spiders", "4..8",
@@ -258,11 +285,13 @@ def test_census_resume_refuses_foreign_journal(capsys, tmp_path):
 
 
 def test_census_workers_match_serial(capsys):
-    _, serial = run_cli(capsys, "census", "spiders", "4..9",
-                        "--mode", "criteria_only")
-    _, parallel = run_cli(capsys, "census", "spiders", "4..9",
-                          "--mode", "criteria_only", "--workers", "2")
-    assert serial == parallel
+    # workers receive the pickled graphs themselves
+    for argv in (["spiders", "4..9", "--mode", "criteria_only"],
+                 ["trees", "4..9", "--mode", "with_expansion",
+                  "--format", "json"]):
+        _, serial = run_cli(capsys, "census", *argv)
+        _, parallel = run_cli(capsys, "census", *argv, "--workers", "2")
+        assert serial == parallel, argv
 
 
 def test_census_workers_warn_cache_read_only(capsys, tmp_path):

@@ -1,13 +1,14 @@
 import pytest
 
+from espider import graphs
 from espider.criteria import (CriterionReport, CriterionSoundnessError,
                               Witness, degree_bound, four_leg_q, mod_test,
                               mod_test_scan, qm_test, run_battery, six_leg,
                               sqrt_bound, tree_battery, two_odd_legs,
                               variety_conditions)
 from espider.csf import CsfCache, OracleBoundError, spider_csf, tree_csf
-from espider.graphs import (Spider, enumerate_spiders, enumerate_trees,
-                            mn_tree, spider_to_tree)
+from espider.graphs import (Spider, Tree, enumerate_spiders, enumerate_trees,
+                            mn_tree, reduce_to_spider, spider_to_tree)
 from espider.partitions import Partition
 
 
@@ -200,6 +201,80 @@ def test_tree_battery_degree_six():
     reps = tree_battery(star6)
     assert any(r.triggered for r in reps)
     assert all("vertex" in r.params for r in reps)
+
+
+def test_tree_battery_memo_matches_direct_battery():
+    # the memo by legs must hand back what a fresh spider battery at each
+    # vertex gives, stamped with that vertex and spider; run twice so the
+    # second pass comes from the memo
+    for _ in range(2):
+        for n in range(1, 11):
+            for t in enumerate_trees(n):
+                direct = []
+                for v in range(n):
+                    if t.degree(v) < 3:
+                        continue
+                    sp = reduce_to_spider(t, v)
+                    subs = [mod_test_scan(sp), *variety_conditions(sp),
+                            qm_test(sp), six_leg(sp)]
+                    direct += [CriterionReport(
+                        r.name, r.triggered, r.witness,
+                        {**r.params, "vertex": v, "spider": str(sp)})
+                        for r in subs]
+                assert tree_battery(t) == direct, t
+
+
+def test_tree_battery_reports_are_independent():
+    # both trees reduce to S[2,1,1], at vertex 0 and at vertex 2
+    a = spider_to_tree(Spider([2, 1, 1]))
+    b = Tree(5, [(2, 0), (0, 1), (2, 3), (2, 4)])
+    reps_a, reps_b = tree_battery(a), tree_battery(b)
+    assert {r.params["vertex"] for r in reps_a} == {0}
+    assert {r.params["vertex"] for r in reps_b} == {2}
+    assert {r.params["spider"] for r in reps_a + reps_b} == {"S[2,1,1]"}
+    params_b = [dict(r.params) for r in reps_b]
+    for r in reps_a:
+        r.params.clear()
+    assert [r.params for r in reps_b] == params_b
+    assert [r.params for r in tree_battery(b)] == params_b
+
+
+def test_witness_recheck_catches_a_present_type(monkeypatch):
+    star = spider_to_tree(Spider([1, 1, 1, 1, 1, 1]))
+    monkeypatch.setattr(graphs, "has_connected_partition", lambda t, typ: True)
+    monkeypatch.setattr(Spider, "has_connected_partition",
+                        lambda self, typ: True)
+    for g in (Spider([1, 1, 1, 1, 1, 1]), star):
+        with pytest.raises(CriterionSoundnessError, match="is present"):
+            run_battery(g, mode="with_expansion")
+
+
+def test_witness_recheck_once_per_type(monkeypatch):
+    calls = []
+    real_tree, real_spider = graphs.has_connected_partition, \
+        Spider.has_connected_partition
+
+    def tree_check(t, typ):
+        calls.append(typ)
+        return real_tree(t, typ)
+
+    def spider_check(s, typ):
+        calls.append(typ)
+        return real_spider(s, typ)
+
+    monkeypatch.setattr(graphs, "has_connected_partition", tree_check)
+    monkeypatch.setattr(Spider, "has_connected_partition", spider_check)
+    # a spider whose criteria share witnesses, and a tree whose three
+    # hubs reduce to spiders with overlapping missing types
+    tree = Tree(10, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5), (5, 6), (5, 7),
+                     (5, 8), (8, 9)])
+    for g in (Spider([1, 1, 1, 1, 1, 1]), tree):
+        calls.clear()
+        res = run_battery(g, mode="with_expansion")
+        witnesses = [r.witness.partition for r in res.reports if r.triggered
+                     and r.witness.kind == "missing_type"]
+        assert len(witnesses) > len(set(witnesses)) > 1, g
+        assert sorted(calls, key=str) == sorted(set(witnesses), key=str), g
 
 
 def test_tree_battery_soundness():

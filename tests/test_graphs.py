@@ -1,15 +1,20 @@
+import copy
+import pickle
+
 import pytest
 
-from espider.graphs import (SimpleGraph, Spider, Tree, canonical_form,
-                            enumerate_spiders, enumerate_trees,
-                            first_missing_type, graph_has_connected_partition,
+from espider.graphs import (SimpleGraph, Spider, Tree, _height_is_diameter,
+                            _levels_to_tree, _rooted_level_sequences,
+                            canonical_form, enumerate_spiders,
+                            enumerate_trees, first_missing_type,
+                            graph_has_connected_partition,
                             has_connected_partition, line_graph, mn_tree,
                             reduce_to_spider, spider_mod_type_info,
                             spider_to_tree, tree_centers)
 from espider.partitions import Partition, partitions_of
 
 from oracles import (ahu_canonical, connected_partition_types,
-                     free_tree_count_by_prufer)
+                     free_tree_count_by_prufer, free_trees_unpruned)
 
 
 def test_spider_basics():
@@ -40,6 +45,19 @@ def test_tree_validation():
         Tree(2, [(0, 0)])
     with pytest.raises(ValueError):
         Tree(2, [(0, 5)])
+
+
+def test_pickle_and_deepcopy_round_trip():
+    for obj in (Partition([3, 1, 1]), Partition(), Spider([4, 2, 1]),
+                mn_tree(2), Tree(1, [])):
+        for back in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+            assert type(back) is type(obj) and back == obj
+            assert repr(back) == repr(obj) and hash(back) == hash(obj)
+    t = pickle.loads(pickle.dumps(mn_tree(2)))
+    assert [t.degree(v) for v in range(t.n)] == \
+        [mn_tree(2).degree(v) for v in range(t.n)]
+    with pytest.raises(AttributeError):
+        t.n = 3
 
 
 def test_tree_text_round_trip():
@@ -202,9 +220,36 @@ def test_enumerate_spiders():
 
 
 def test_enumerate_trees_counts():
-    known = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106]
-    for n, expect in zip(range(1, 11), known):
+    # OEIS A000055
+    known = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159]
+    for n, expect in zip(range(1, 15), known):
         assert sum(1 for _ in enumerate_trees(n)) == expect
+
+
+def test_height_is_diameter_matches_bfs():
+    def farthest(adj, src):
+        dist = {src: 0}
+        order = [src]
+        for v in order:
+            for w in adj[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    order.append(w)
+        return order[-1], dist[order[-1]]
+
+    for n in range(2, 12):
+        for seq in _rooted_level_sequences(n):
+            adj = _levels_to_tree(seq).adj
+            diameter = farthest(adj, farthest(adj, 0)[0])[1]
+            assert _height_is_diameter(seq) == (max(seq) == diameter), seq
+
+
+def test_enumerate_trees_matches_unpruned_enumerator():
+    # skipping rootings whose height is below the diameter keeps every
+    # representative, its labels and its place in the order
+    for n in range(1, 13):
+        assert [sorted(t.edges) for t in enumerate_trees(n)] == \
+            free_trees_unpruned(n), n
 
 
 def test_enumerate_trees_vs_prufer_oracle():
