@@ -2,11 +2,13 @@
 
 Subcommands: analyze one graph, expand to the elementary basis, run a
 census over spiders or trees, verify the acceptance suite, check the
-small-scale conjectures, and manage the expansion cache.
+small-scale conjectures.  Expansions are memoized within one process
+only; nothing is written to disk.
 
 Flag defaults can be overridden with ESPIDER_-prefixed environment
-variables (ESPIDER_FORMAT, ESPIDER_CACHE, ESPIDER_WORKERS,
-ESPIDER_ORACLE_BOUND, ESPIDER_MODE, ESPIDER_MAX_N, ESPIDER_LEGS).
+variables (ESPIDER_FORMAT, ESPIDER_WORKERS, ESPIDER_ORACLE_BOUND,
+ESPIDER_MODE, ESPIDER_MAX_N, ESPIDER_LEGS).  ``expand`` has no csv form
+and prints text when ESPIDER_FORMAT is csv.
 
 Exit codes for ``analyze``: 0 e-positive or unknown, 1 proven not
 e-positive, 2 input error (an expansion the mode asks for beyond the size
@@ -24,8 +26,7 @@ from multiprocessing import Pool
 
 from espider import acceptance
 from espider.criteria import MODES, BatteryResult, run_battery
-from espider.csf import (CacheFormatError, CsfCache, MIN_ORACLE_BOUND,
-                         OracleBoundError, csf_oracle, default_cache,
+from espider.csf import (MIN_ORACLE_BOUND, OracleBoundError, csf_oracle,
                          spider_csf, tree_csf)
 from espider.graphs import (MAX_TREE_N, Spider, Tree, enumerate_spiders,
                             enumerate_trees, line_graph, spider_to_tree)
@@ -54,11 +55,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "tests for spiders, trees and small graphs.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, mode=False):
-        sp.add_argument("--format", choices=FORMATS,
-                        default=_env("FORMAT", "text"))
-        sp.add_argument("--cache", default=_env("CACHE"),
-                        help="expansion cache file (created when absent)")
+    def common(sp, mode=False, formats=FORMATS):
+        if formats:
+            fmt = _env("FORMAT", "text")
+            sp.add_argument("--format", choices=formats,
+                            default=fmt if fmt in formats else "text")
         sp.add_argument("--oracle-bound", type=int,
                         default=_env("ORACLE_BOUND"),
                         help="override the expansion size bound (the subset "
@@ -80,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--coeff", help="partition, e.g. 3,2 or [3,2]")
     sp.add_argument("--oracle", action="store_true",
                     help="force the edge-subset oracle engine")
-    common(sp)
+    common(sp, formats=("text", "json"))
 
     sp = sub.add_parser("census", help="sweep all spiders or trees in a size range")
     sp.add_argument("kind", choices=("spiders", "trees"))
@@ -93,8 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--legs", type=int, default=_env("LEGS"),
                     help="restrict spiders to exactly this many legs")
     sp.add_argument("--workers", type=int, default=_env("WORKERS", "1"),
-                    help="worker processes; with more than one, --cache is "
-                         "only read, never written")
+                    help="worker processes, each with its own expansion "
+                         "memo; rows come out in the serial order")
     sp.add_argument("--resume", help="journal file for resumable runs")
     common(sp, mode=True)
 
@@ -104,30 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("conjectures", help="check the open conjectures at small scale")
     sp.add_argument("--max-m", type=int, default=2)
     sp.add_argument("--max-n", type=int, default=_env("MAX_N", "12"))
-    common(sp)
-
-    sp = sub.add_parser("cache", help="inspect or clear a cache file")
-    sp.add_argument("action", choices=("info", "clear"))
-    sp.add_argument("path")
+    common(sp, formats=())
     return p
-
-
-def _load_cache(path: str | None) -> CsfCache:
-    if not path:
-        return default_cache()
-    if not os.path.exists(path):
-        return CsfCache()
-    try:
-        return CsfCache.load(path)
-    except (CacheFormatError, OSError) as exc:
-        print(f"warning: cache {path} unreadable ({exc}); rebuilding",
-              file=sys.stderr)
-        return CsfCache()
-
-
-def _save_cache(cache: CsfCache, path: str | None):
-    if path:
-        cache.save(path)
 
 
 def _parse_target(target: str):
@@ -174,11 +153,9 @@ def _render_battery_text(res: BatteryResult, out):
 def cmd_analyze(args) -> int:
     bound = _check_bound(args.oracle_bound)
     g, label = _parse_target(args.target)
-    cache = _load_cache(args.cache)
-    res = run_battery(g, mode=args.mode, cache=cache, max_n=bound,
+    res = run_battery(g, mode=args.mode, max_n=bound,
                       include_weak_variety=args.weak_variety)
     res.graph = label
-    _save_cache(cache, args.cache)
     if args.format == "json":
         print(json.dumps(res.to_json_obj()))
     elif args.format == "csv":
@@ -195,14 +172,12 @@ def cmd_analyze(args) -> int:
 def cmd_expand(args) -> int:
     bound = _check_bound(args.oracle_bound)
     g, _ = _parse_target(args.target)
-    cache = _load_cache(args.cache)
     if args.oracle:
         X = csf_oracle(g, max_n=bound)
     elif isinstance(g, Spider):
-        X = spider_csf(g, cache)
+        X = spider_csf(g)
     else:
-        X = tree_csf(g, cache, max_n=bound)
-    _save_cache(cache, args.cache)
+        X = tree_csf(g, max_n=bound)
     if args.coeff:
         key = Partition.parse(args.coeff if args.coeff.startswith("[")
                               else "[" + args.coeff + "]")
@@ -241,24 +216,23 @@ def _census_items(kind, lo, hi, legs):
 _WORKER_STATE = {}
 
 
-def _census_init(mode, bound, cache_path=None):
-    _WORKER_STATE["mode"] = mode
-    _WORKER_STATE["bound"] = bound
-    _WORKER_STATE["cache"] = _load_cache(cache_path) if cache_path else CsfCache()
+def _census_init(mode, bound, criteria):
+    _WORKER_STATE.update(mode=mode, bound=bound, criteria=criteria)
 
 
 def _census_one(g):
-    mode = _WORKER_STATE["mode"]
-    cache = _WORKER_STATE["cache"]
+    state = _WORKER_STATE
     try:
-        res = run_battery(g, mode=mode, cache=cache, max_n=_WORKER_STATE["bound"])
+        res = run_battery(g, mode=state["mode"], max_n=state["bound"])
     except OracleBoundError:
         # too large to expand: report the one-sided verdict instead
-        res = run_battery(g, mode="criteria_only", cache=cache)
-    return _row_from_result(res, g)
+        res = run_battery(g, mode="criteria_only")
+    return _row_from_result(res, g, state["criteria"])
 
 
-def _row_from_result(res: BatteryResult, g) -> dict:
+def _row_from_result(res: BatteryResult, g, criteria=False) -> dict:
+    """One census row; its ``criteria`` entry, the reports as JSON, is
+    built only when asked for (json output and journals read it)."""
     first = res.first_trigger()
     tree = isinstance(g, Tree)
     row = {
@@ -268,8 +242,9 @@ def _row_from_result(res: BatteryResult, g) -> dict:
         "first_trigger": first.name if first else "",
         "e_positive": "unknown" if res.e_positive is None else res.e_positive,
         "witness": _witness_str(first) if first else "",
-        "criteria": [r.to_json_obj() for r in res.reports],
     }
+    if criteria:
+        row["criteria"] = [r.to_json_obj() for r in res.reports]
     if tree:
         row["tree"] = g.to_text()
     return row
@@ -353,17 +328,12 @@ def cmd_census(args) -> int:
         if not whole:
             journal.write(json.dumps(header) + "\n")
 
+    state = (args.mode, bound, bool(journal) or args.format == "json")
     if args.workers > 1:
-        # workers preload the cache read-only; their additions stay local
-        if args.cache:
-            print(f"warning: with --workers {args.workers} the cache "
-                  f"{args.cache} is read-only; it will not be written",
-                  file=sys.stderr)
-        pool = Pool(args.workers, initializer=_census_init,
-                    initargs=(args.mode, bound, args.cache))
+        pool = Pool(args.workers, initializer=_census_init, initargs=state)
         stream = pool.imap(_census_one, todo, chunksize=8)
     else:
-        _census_init(args.mode, bound, args.cache)
+        _census_init(*state)
         pool = None
         stream = map(_census_one, todo)
 
@@ -378,8 +348,6 @@ def cmd_census(args) -> int:
     if pool:
         pool.close()
         pool.join()
-    elif args.cache:
-        _save_cache(_WORKER_STATE["cache"], args.cache)
     if journal:
         journal.close()
 
@@ -406,7 +374,7 @@ def _print_census_row(row, fmt):
 
 
 # ---------------------------------------------------------------------------
-# verify / conjectures / cache
+# verify / conjectures
 
 def cmd_verify(args) -> int:
     ok = acceptance.run_all(skip_slow=args.skip_slow)
@@ -415,7 +383,6 @@ def cmd_verify(args) -> int:
 
 def cmd_conjectures(args) -> int:
     bound = _check_bound(args.oracle_bound)
-    cache = _load_cache(args.cache)
     bad = []
 
     def report(name, instance, holds):
@@ -430,7 +397,7 @@ def cmd_conjectures(args) -> int:
         if s.n > max(args.max_n, 40):
             break
         report("doubled_leg_family", str(s),
-               spider_csf(s, cache).is_e_positive())
+               spider_csf(s).is_e_positive())
 
     # Factorial family S(n(n!m+1), n!m, 1).
     from math import factorial
@@ -440,13 +407,13 @@ def cmd_conjectures(args) -> int:
             if s.n > max(args.max_n, 40):
                 continue
             report("factorial_family", str(s),
-                   spider_csf(s, cache).is_e_positive())
+                   spider_csf(s).is_e_positive())
 
     # Universal statements over every e-positive spider up to the bound.
     epos = []
     for nn in range(2, args.max_n + 1):
         for s in enumerate_spiders(nn):
-            if spider_csf(s, cache).is_e_positive():
+            if spider_csf(s).is_e_positive():
                 epos.append(s)
     print(f"e-positive spiders with n <= {args.max_n}: {len(epos)}")
 
@@ -456,7 +423,7 @@ def cmd_conjectures(args) -> int:
                 for j in range(i + 1, s.d):
                     s2 = Spider(s.legs.combine_parts(i, j))
                     report("leg_combining", f"{s} -> {s2}",
-                           spider_csf(s2, cache).is_e_positive())
+                           spider_csf(s2).is_e_positive())
 
     for s in epos:
         lg = line_graph(spider_to_tree(s))
@@ -467,31 +434,10 @@ def cmd_conjectures(args) -> int:
             continue
         report("line_graph", f"{s} -> L({s})", X.is_e_positive())
 
-    _save_cache(cache, args.cache)
     if bad:
         print(f"{len(bad)} counterexample(s) found -- check these loudly!")
         return 1
     print("no counterexamples")
-    return 0
-
-
-def cmd_cache(args) -> int:
-    if args.action == "clear":
-        if os.path.exists(args.path):
-            os.remove(args.path)
-            print(f"removed {args.path}")
-        else:
-            print(f"{args.path} does not exist")
-        return 0
-    try:
-        cache = CsfCache.load(args.path)
-    except FileNotFoundError:
-        print(f"{args.path} does not exist")
-        return 0
-    except CacheFormatError as exc:
-        print(f"{args.path}: corrupt ({exc})")
-        return 0
-    print(f"{args.path}: {len(cache.paths)} paths, {len(cache.spiders)} spiders")
     return 0
 
 
@@ -503,7 +449,6 @@ def main(argv=None) -> int:
         "census": cmd_census,
         "verify": cmd_verify,
         "conjectures": cmd_conjectures,
-        "cache": cmd_cache,
     }
     try:
         return handlers[args.command](args)

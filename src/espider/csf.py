@@ -11,8 +11,8 @@ Two independent routes to the e-basis expansion of X_G:
 * ``spider_csf`` unhooks the shortest leg of a spider one edge at a time,
   reducing to shorter spiders times paths, with path expansions from the
   Shareshian-Wachs recurrence (``path_csf``; the closed-form coefficient
-  ``path_e_coefficient`` is its independent check).  Memoized; comfortably
-  reaches spiders far beyond oracle scale.
+  ``path_e_coefficient`` is its independent check).  Memoized in
+  process; comfortably reaches spiders far beyond oracle scale.
 
 Closed-form coefficient extractors for special keys ((m^q), (2^{n/2}),
 (3, 2^k), and the four-leg (m+r, m^q)) live here too.
@@ -20,7 +20,6 @@ Closed-form coefficient extractors for special keys ((m^q), (2^{n/2}),
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 
 from espider._subsets import is_forest, subset_type_census
@@ -40,87 +39,19 @@ class OracleBoundError(ValueError):
     """Raised when a graph exceeds the configured oracle size bound."""
 
 
-class CacheFormatError(ValueError):
-    """Raised when a cache file fails to parse cleanly."""
-
-
 class CsfCache:
-    """Memo store for path and spider expansions, persistable to disk.
+    """In-process memo of spider expansions, keyed by the sorted leg tuple.
 
-    Entries are immutable expansions and recomputation is idempotent, so
-    the sharing contract is simple: concurrent readers are fine, a lost
-    write race costs time but never correctness, and parallel censuses just
-    use one cache per worker.
+    Entries are immutable expansions and recomputation is idempotent, so a
+    memo is safe to share and each worker process simply keeps its own.
+    Path expansions are memoized by ``_path`` itself.
     """
 
     def __init__(self):
-        self.paths: dict[int, EExpansion] = {}
         self.spiders: dict[tuple[int, ...], EExpansion] = {}
-
-    def save(self, path: str) -> None:
-        lines = ["csf-cache v1"]
-        for n in sorted(self.paths):
-            lines.append(f"PATH {n}")
-            lines.append(self.paths[n].to_text())
-            lines.append("")
-        for legs in sorted(self.spiders):
-            lines.append("SPIDER [" + ",".join(str(l) for l in legs) + "]")
-            lines.append(self.spiders[legs].to_text())
-            lines.append("")
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
-
-    @classmethod
-    def load(cls, path: str) -> "CsfCache":
-        cache = cls()
-        with open(path) as fh:
-            blocks = fh.read().split("\n\n")
-        header, _, first = blocks[0].partition("\n")
-        if header.strip() != "csf-cache v1":
-            raise CacheFormatError(f"bad cache header {header!r}")
-        blocks[0] = first
-        for block in blocks:
-            block = block.strip("\n")
-            if not block.strip():
-                continue
-            head, _, body = block.partition("\n")
-            head = head.strip()
-            try:
-                expansion = EExpansion.from_text(body)
-            except (ValueError, IndexError) as exc:
-                raise CacheFormatError(f"bad expansion under {head!r}: {exc}")
-            # Every record is a tree on d vertices, so X(1^d) counts its
-            # proper d-colourings, d(d-1)^(d-1).  Each e_lam maps to a
-            # positive product of binomials, so any one altered coefficient
-            # breaks the equation.
-            d = expansion.degree
-            if d < 1 or expansion.evaluate_chromatic(d) != d * (d - 1) ** (d - 1):
-                raise CacheFormatError(f"{head!r} record fails the tree "
-                                       f"colouring check at k = {d}")
-            if head.startswith("PATH "):
-                n = int(head[5:])
-                if expansion.degree != n:
-                    raise CacheFormatError(f"PATH {n} record has degree "
-                                           f"{expansion.degree}")
-                cache.paths[n] = expansion
-            elif head.startswith("SPIDER "):
-                legs = Partition.parse(head[7:]).parts
-                if expansion.degree != 1 + sum(legs):
-                    raise CacheFormatError(f"SPIDER {list(legs)} record has "
-                                           f"degree {expansion.degree}")
-                cache.spiders[legs] = expansion
-            else:
-                raise CacheFormatError(f"unknown record {head!r}")
-        return cache
 
 
 _DEFAULT_CACHE = CsfCache()
-
-
-def default_cache() -> CsfCache:
-    return _DEFAULT_CACHE
 
 
 def _as_graph(g) -> tuple[int, list[tuple[int, int]]]:
@@ -176,15 +107,11 @@ def path_e_coefficient(n: int, lam: Partition) -> int:
     return total
 
 
-def path_csf(n: int, cache: CsfCache | None = None) -> EExpansion:
+def path_csf(n: int) -> EExpansion:
     """e-expansion of the n-vertex path, cached."""
     if n < 1:
         raise ValueError(f"paths need >= 1 vertex, got {n}")
-    cache = cache if cache is not None else _DEFAULT_CACHE
-    hit = cache.paths.get(n)
-    if hit is None:
-        hit = cache.paths[n] = _path(n)
-    return hit
+    return _path(n)
 
 
 @lru_cache(maxsize=None)
@@ -221,7 +148,7 @@ def spider_csf(s: Spider, cache: CsfCache | None = None) -> EExpansion:
 def _spider_csf(legs: tuple[int, ...], cache: CsfCache) -> EExpansion:
     legs = tuple(sorted((l for l in legs if l > 0), reverse=True))
     if len(legs) <= 2:
-        return path_csf(1 + sum(legs), cache)
+        return path_csf(1 + sum(legs))
     hit = cache.spiders.get(legs)
     if hit is not None:
         return hit
@@ -233,8 +160,8 @@ def _spider_csf(legs: tuple[int, ...], cache: CsfCache) -> EExpansion:
 
     acc = dict(sub(a + b))
     for k in range(b):
-        add_product(acc, sub(a + k), path_csf(b - k, cache).terms)
-        add_product(acc, sub(k), path_csf(a + b - k, cache).terms, -1)
+        add_product(acc, sub(a + k), path_csf(b - k).terms)
+        add_product(acc, sub(k), path_csf(a + b - k).terms, -1)
     total = EExpansion.from_packed(1 + sum(legs), acc)
     cache.spiders[legs] = total
     return total

@@ -466,11 +466,6 @@ def _is_connected_within(g: SimpleGraph, block: frozenset) -> bool:
     return len(seen) == len(block)
 
 
-def graph_has_all_connected_partitions(g: SimpleGraph, max_n: int = 14) -> bool:
-    return all(graph_has_connected_partition(g, typ, max_n)
-               for typ in partitions_of(g.n))
-
-
 def line_graph(g: SimpleGraph | Tree) -> SimpleGraph:
     """One vertex per edge; adjacency = shared endpoint."""
     base = sorted(g.edges)

@@ -207,30 +207,24 @@ def ahu_canonical(n, edges):
         adj[u].append(v)
         adj[v].append(u)
 
-    def subtree_sizes(root):
-        size = [0] * n
-        order, parent = [root], [-1] * n
-        parent[root] = root
-        for v in order:
-            for w in adj[v]:
-                if parent[w] == -1 and w != root:
-                    parent[w] = v
-                    order.append(w)
-        for v in reversed(order):
-            size[v] = 1 + sum(size[w] for w in adj[v] if parent[w] == v)
-        return size, parent
-
-    size, _ = subtree_sizes(0)
-    best = n
-    centroids = []
-    for v in range(n):
-        sz, parent = subtree_sizes(v)
-        heaviest = max((sz[w] for w in adj[v]), default=0)
-        if heaviest < best:
-            best = heaviest
-            centroids = [v]
-        elif heaviest == best:
-            centroids.append(v)
+    # Root once at 0: a vertex's heaviest part on removal is the larger of
+    # its largest child subtree and the n - size[v] vertices above it.
+    order, parent = [0], [-1] * n
+    parent[0] = 0
+    for v in order:
+        for w in adj[v]:
+            if parent[w] == -1 and w != 0:
+                parent[w] = v
+                order.append(w)
+    size = [1] * n
+    heaviest = [0] * n
+    for v in reversed(order):
+        heaviest[v] = max(heaviest[v], n - size[v])
+        if v:
+            size[parent[v]] += size[v]
+            heaviest[parent[v]] = max(heaviest[parent[v]], size[v])
+    best = min(heaviest)
+    centroids = [v for v in range(n) if heaviest[v] == best]
 
     def encode(v, parent):
         subs = sorted(encode(w, v) for w in adj[v] if w != parent)

@@ -294,62 +294,58 @@ def test_census_workers_match_serial(capsys):
         assert serial == parallel, argv
 
 
-def test_census_workers_warn_cache_read_only(capsys, tmp_path):
-    path = tmp_path / "cache.txt"
-    code = cli.main(["census", "spiders", "4..6", "--mode", "criteria_only",
-                     "--workers", "2", "--cache", str(path)])
-    err = capsys.readouterr().err
-    assert code == 0
-    assert "read-only" in err and str(path) in err
-    assert not path.exists()
+def test_cache_flag_and_subcommand_are_gone(capsys, tmp_path):
+    # expansions are memoized in process only: the on-disk cache's flag
+    # and subcommand are refused like any unknown argument
+    gone = "cache"
+    path = str(tmp_path / "c.txt")
+    for argv in (["analyze", "S[3,2,1]"], ["expand", "S[3,2,1]"],
+                 ["census", "spiders", "4..5"], ["conjectures"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + [f"--{gone}", path])
+        assert exc.value.code == 2, argv
+    with pytest.raises(SystemExit) as exc:
+        cli.main([gone, "info", "x"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert not os.path.exists(path)
 
 
-def test_census_populates_cache(capsys, tmp_path):
-    path = tmp_path / "cache.txt"
-    code, _ = run_cli(capsys, "census", "spiders", "4..8",
-                      "--mode", "with_expansion", "--cache", str(path))
-    assert code == 0 and path.exists()
-    code, out = run_cli(capsys, "cache", "info", str(path))
-    assert "spiders" in out and "0 paths" not in out
-    # a second run with a warm cache gives the same rows
-    _, first = run_cli(capsys, "census", "spiders", "4..8",
-                       "--mode", "with_expansion")
-    _, second = run_cli(capsys, "census", "spiders", "4..8",
-                        "--mode", "with_expansion", "--cache", str(path))
-    assert first == second
+def test_flags_without_effect_are_refused(capsys):
+    for argv in (["conjectures", "--format", "json"],
+                 ["expand", "P4", "--format", "csv"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
+    code, out = run_cli(capsys, "expand", "P4", "--format", "json")
+    assert code == 0 and json.loads(out)
 
 
-def test_cache_info_and_clear(capsys, tmp_path):
-    path = tmp_path / "c.txt"
-    code, _ = run_cli(capsys, "expand", "S[3,2,1]", "--cache", str(path))
-    assert code == 0 and path.exists()
-    code, out = run_cli(capsys, "cache", "info", str(path))
-    assert code == 0 and "spiders" in out
-    code, out = run_cli(capsys, "cache", "clear", str(path))
-    assert code == 0 and not path.exists()
+def test_csv_census_builds_no_criteria_json(capsys, monkeypatch, tmp_path):
+    from espider.criteria import CriterionReport
 
+    calls = []
+    to_json_obj = CriterionReport.to_json_obj
 
-def test_corrupt_cache_rebuilt(capsys, tmp_path):
-    path = tmp_path / "c.txt"
-    path.write_text("garbage\n")
-    code, out = run_cli(capsys, "expand", "P4", "--cache", str(path))
-    assert code == 0
-    # the rebuilt cache is loadable afterwards
-    code, out = run_cli(capsys, "cache", "info", str(path))
-    assert "1 paths" in out
+    def counted(self):
+        calls.append(self.name)
+        return to_json_obj(self)
 
-
-def test_tampered_cache_record_rebuilt(capsys, tmp_path):
-    path = tmp_path / "c.txt"
-    code, _ = run_cli(capsys, "expand", "S[3,2,1]", "--cache", str(path))
-    assert code == 0
-    head, sep, tail = path.read_text().partition("SPIDER [3,2,1]\n")
-    assert sep and tail.startswith("7 * e[7]\n")
-    path.write_text(head + sep + "97" + tail[1:])
-    code = cli.main(["expand", "S[3,2,1]", "--coeff", "7", "--cache", str(path)])
-    captured = capsys.readouterr()
-    assert code == 0 and captured.out.strip() == "7"
-    assert "rebuilding" in captured.err
+    monkeypatch.setattr(CriterionReport, "to_json_obj", counted)
+    code, out = run_cli(capsys, "census", "trees", "4..8", "--format", "csv")
+    assert code == 0 and out.splitlines()[0] == cli.CSV_HEADER
+    assert calls == []
+    # json rows and journal records still carry the reports
+    code, _ = run_cli(capsys, "census", "trees", "4..5", "--format", "json")
+    assert code == 0 and calls
+    journal = tmp_path / "j.jsonl"
+    code, _ = run_cli(capsys, "census", "trees", "4..6", "--format", "csv",
+                      "--resume", str(journal))
+    records = [json.loads(line) for line in journal.read_text().splitlines()]
+    assert code == 0 and len(records) == 1 + 2 + 3 + 6
+    assert all("criteria" in rec["row"] for rec in records[1:])
+    assert any(rec["row"]["criteria"] for rec in records[1:])
 
 
 def test_conjectures_smoke(capsys):

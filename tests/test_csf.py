@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from espider.csf import (CacheFormatError, CsfCache, OracleBoundError,
+from espider.csf import (CsfCache, OracleBoundError,
                          coeff_four_leg, coeff_mq, coeff_three_two,
                          coeff_two_powers, csf_oracle, path_csf,
                          path_e_coefficient, spider_csf, three_two_key,
@@ -68,7 +68,7 @@ def test_path_recurrence_matches_closed_form():
     for n in range(1, 31):
         closed = EExpansion(n, {lam: path_e_coefficient(n, lam)
                                 for lam in partitions_of(n)})
-        assert path_csf(n, CsfCache()) == closed, n
+        assert path_csf(n) == closed, n
 
 
 def test_large_spider_counts_colourings():
@@ -224,37 +224,3 @@ def test_homogeneity_of_engines():
         assert X.degree == s.n
         assert all(k.n == s.n for k, _ in X.items())
 
-
-def test_cache_round_trip(tmp_path):
-    cache = CsfCache()
-    spider_csf(Spider([3, 2, 1]), cache)
-    path_csf(5, cache)
-    f = tmp_path / "cache.txt"
-    cache.save(str(f))
-    loaded = CsfCache.load(str(f))
-    assert loaded.paths.keys() == cache.paths.keys()
-    assert loaded.spiders.keys() == cache.spiders.keys()
-    for k in cache.paths:
-        assert loaded.paths[k] == cache.paths[k]
-    for k in cache.spiders:
-        assert loaded.spiders[k] == cache.spiders[k]
-
-
-def test_cache_corruption_detected(tmp_path):
-    f = tmp_path / "cache.txt"
-    f.write_text("nonsense\n")
-    with pytest.raises(CacheFormatError):
-        CsfCache.load(str(f))
-    f.write_text("csf-cache v1\nPATH 3\n1 * e[2]\n\n")
-    with pytest.raises(CacheFormatError):
-        CsfCache.load(str(f))  # degree mismatch
-
-
-def test_cache_reuse_gives_identical_results(tmp_path):
-    c1 = CsfCache()
-    a = spider_csf(Spider([4, 3, 2, 1]), c1)
-    f = tmp_path / "c.txt"
-    c1.save(str(f))
-    c2 = CsfCache.load(str(f))
-    b = spider_csf(Spider([4, 3, 2, 1]), c2)
-    assert a == b
