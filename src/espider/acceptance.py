@@ -18,8 +18,8 @@ from espider.csf import (CsfCache, coeff_four_leg, coeff_mq, coeff_three_two,
                          coeff_two_powers, csf_oracle, path_e_coefficient,
                          spider_csf, three_two_key, tree_csf)
 from espider.graphs import (Spider, Tree, enumerate_spiders, enumerate_trees,
-                            line_graph, mn_tree, spider_mod_type_info,
-                            spider_to_tree)
+                            has_all_connected_partitions, line_graph, mn_tree,
+                            spider_mod_type_info, spider_to_tree)
 from espider.partitions import Partition, partitions_of
 
 
@@ -105,14 +105,14 @@ def check_complete_but_negative():
     S(16,12,2,1) via the four-leg test with the coefficient re-verified."""
     cache = CsfCache()
     s = Spider([6, 4, 1, 1])
-    assert s.has_all_connected_partitions(), "S(6,4,1,1) missing a type"
+    assert has_all_connected_partitions(s), "S(6,4,1,1) missing a type"
     X = spider_csf(s, cache)
     neg = X.first_negative()
     assert neg is not None, "S(6,4,1,1) unexpectedly e-positive"
     out = [f"S[6,4,1,1] neg at {neg[0]}={neg[1]}"]
     for legs in [(15, 12, 2, 1), (16, 12, 2, 1)]:
         s = Spider(legs)
-        assert s.has_all_connected_partitions(), f"{s} missing a type"
+        assert has_all_connected_partitions(s), f"{s} missing a type"
         res = run_battery(s, mode="criteria_only")
         rep = next(r for r in res.reports if r.name == "four_leg_q")
         assert rep.triggered, f"four_leg_q silent on {s}"
@@ -361,21 +361,21 @@ CRITERIA = [
 ]
 
 
-def run_all(skip_slow: bool = False, out=print) -> bool:
+def run_all(skip_slow: bool = False) -> bool:
     """Run every criterion, print one timed pass/fail line each, return
     overall success."""
     ok = True
     for crit in CRITERIA:
         if skip_slow and crit.slow:
-            out(f"SKIP {crit.number:2d} {crit.name} (slow)")
+            print(f"SKIP {crit.number:2d} {crit.name} (slow)")
             continue
         t0 = time.time()
         try:
             summary = crit.func()
-            out(f"PASS {crit.number:2d} {crit.name} "
-                f"({time.time() - t0:.2f}s): {summary}")
+            print(f"PASS {crit.number:2d} {crit.name} "
+                  f"({time.time() - t0:.2f}s): {summary}")
         except AssertionError as exc:
             ok = False
-            out(f"FAIL {crit.number:2d} {crit.name} "
-                f"({time.time() - t0:.2f}s): {exc}")
+            print(f"FAIL {crit.number:2d} {crit.name} "
+                  f"({time.time() - t0:.2f}s): {exc}")
     return ok

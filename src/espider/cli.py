@@ -5,10 +5,10 @@ census over spiders or trees, verify the acceptance suite, check the
 small-scale conjectures.  Expansions are memoized within one process
 only; nothing is written to disk.
 
-Flag defaults can be overridden with ESPIDER_-prefixed environment
-variables (ESPIDER_FORMAT, ESPIDER_WORKERS, ESPIDER_ORACLE_BOUND,
-ESPIDER_MODE, ESPIDER_MAX_N, ESPIDER_LEGS).  ``expand`` has no csv form
-and prints text when ESPIDER_FORMAT is csv.
+Flags are the only configuration.  ``--oracle-bound`` is one expansion
+bound for spiders and trees alike: ``analyze`` and ``census`` default it to
+20 vertices, ``expand`` applies it to every engine when given and
+otherwise leaves the spider engine unbounded.
 
 Exit codes for ``analyze``: 0 e-positive or unknown, 1 proven not
 e-positive, 2 input error (an expansion the mode asks for beyond the size
@@ -22,7 +22,6 @@ import json
 import os
 import sys
 from itertools import islice
-from multiprocessing import Pool
 
 from espider import acceptance
 from espider.criteria import MODES, BatteryResult, run_battery
@@ -36,18 +35,6 @@ FORMATS = ("text", "json", "csv")
 CSV_HEADER = "graph,n,d,first_trigger,e_positive,witness"
 
 
-def _env(name, fallback=None):
-    return os.environ.get(f"ESPIDER_{name}", fallback)
-
-
-class _StoreGiven(argparse.Action):
-    """Store the value and note that the flag was given (not an ESPIDER_ default)."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        setattr(namespace, self.dest + "_given", True)
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="espider",
@@ -57,17 +44,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, mode=False, formats=FORMATS):
         if formats:
-            fmt = _env("FORMAT", "text")
-            sp.add_argument("--format", choices=formats,
-                            default=fmt if fmt in formats else "text")
+            sp.add_argument("--format", choices=formats, default="text")
         sp.add_argument("--oracle-bound", type=int,
-                        default=_env("ORACLE_BOUND"),
-                        help="override the expansion size bound (the subset "
-                             "oracle is additionally clamped to its hard cap; "
-                             "the spider engine follows the flag)")
+                        help="expansion size bound in vertices, one for "
+                             "spiders and trees (analyze and census default "
+                             "to 20; expand applies it to every engine when "
+                             "given; the subset oracle keeps its hard caps)")
         if mode:
             sp.add_argument("--mode", choices=MODES,
-                            default=_env("MODE", "criteria_then_expansion"))
+                            default="criteria_then_expansion")
 
     sp = sub.add_parser("analyze", help="run the criterion battery on one graph")
     sp.add_argument("target", help="S[l1,l2,...], P<n>, or a tree file")
@@ -87,13 +72,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("kind", choices=("spiders", "trees"))
     sp.add_argument("range", nargs="?",
                     help="vertex range like 4..12 (or a single n)")
-    sp.add_argument("--max-n", type=int, default=_env("MAX_N"),
-                    action=_StoreGiven,
+    sp.add_argument("--max-n", type=int,
                     help="alternative to a range: sweep up to this n")
-    sp.set_defaults(max_n_given=False)
-    sp.add_argument("--legs", type=int, default=_env("LEGS"),
+    sp.add_argument("--legs", type=int,
                     help="restrict spiders to exactly this many legs")
-    sp.add_argument("--workers", type=int, default=_env("WORKERS", "1"),
+    sp.add_argument("--workers", type=int, default=1,
                     help="worker processes, each with its own expansion "
                          "memo; rows come out in the serial order")
     sp.add_argument("--resume", help="journal file for resumable runs")
@@ -104,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("conjectures", help="check the open conjectures at small scale")
     sp.add_argument("--max-m", type=int, default=2)
-    sp.add_argument("--max-n", type=int, default=_env("MAX_N", "12"))
+    sp.add_argument("--max-n", type=int, default=12)
     common(sp, formats=())
     return p
 
@@ -172,12 +155,7 @@ def cmd_analyze(args) -> int:
 def cmd_expand(args) -> int:
     bound = _check_bound(args.oracle_bound)
     g, _ = _parse_target(args.target)
-    if args.oracle:
-        X = csf_oracle(g, max_n=bound)
-    elif isinstance(g, Spider):
-        X = spider_csf(g)
-    else:
-        X = tree_csf(g, max_n=bound)
+    X = (csf_oracle if args.oracle else tree_csf)(g, max_n=bound)
     if args.coeff:
         key = Partition.parse(args.coeff if args.coeff.startswith("[")
                               else "[" + args.coeff + "]")
@@ -194,12 +172,12 @@ def cmd_expand(args) -> int:
 # census
 
 def _parse_range(args) -> tuple[int, int]:
-    if args.range and args.max_n_given:
+    if args.range and args.max_n is not None:
         raise ValueError("give either a range or --max-n, not both")
     if args.range:
         lo, sep, hi = args.range.partition("..")
         return (int(lo), int(hi)) if sep else (int(lo), int(lo))
-    if args.max_n:
+    if args.max_n is not None:
         return (2, args.max_n)
     raise ValueError("census needs a range (like 4..12) or --max-n")
 
@@ -330,6 +308,9 @@ def cmd_census(args) -> int:
 
     state = (args.mode, bound, bool(journal) or args.format == "json")
     if args.workers > 1:
+        # imported here: only a parallel census needs it, and it adds to
+        # every start-up's time and memory
+        from multiprocessing import Pool
         pool = Pool(args.workers, initializer=_census_init, initargs=state)
         stream = pool.imap(_census_one, todo, chunksize=8)
     else:

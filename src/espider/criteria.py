@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, isqrt
 
-from espider.csf import (CsfCache, DEFAULT_TREE_ORACLE_BOUND, OracleBoundError,
-                         coeff_four_leg, coeff_three_two, spider_csf,
-                         three_two_key, tree_csf)
-from espider.graphs import (Spider, Tree, reduce_to_spider,
+from espider.csf import (CsfCache, DEFAULT_TREE_ORACLE_BOUND, coeff_four_leg,
+                         coeff_three_two, three_two_key, tree_csf)
+from espider.graphs import (Spider, Tree, first_missing_type, reduce_to_spider,
                             spider_mod_type_info)
 from espider.partitions import Partition
 from espider.symfunc import EExpansion
@@ -87,14 +86,13 @@ def mod_test(s: Spider, m: int) -> CriterionReport:
     return CriterionReport("mod", True, _missing(info.type_partition), params)
 
 
-def mod_test_scan(s: Spider, m_max: int | None = None) -> CriterionReport:
+def mod_test_scan(s: Spider) -> CriterionReport:
     """Residue-sum test over every modulus 2..n; first firing m reported."""
-    top = m_max if m_max is not None else s.n
-    for m in range(2, top + 1):
+    for m in range(2, s.n + 1):
         rep = mod_test(s, m)
         if rep.triggered:
             return rep
-    return CriterionReport("mod", False, params={"scanned_m": f"2..{top}"})
+    return CriterionReport("mod", False, params={"scanned_m": f"2..{s.n}"})
 
 
 def variety_conditions(s: Spider, include_weak: bool = False) -> list[CriterionReport]:
@@ -340,7 +338,7 @@ def _sum_inv_roots_ge_one(n: int, k_top: int) -> bool:
         f"could not separate the root sum from 1 at n={n}, k={k_top}")
 
 
-def six_leg(s: Spider, exhaustive_limit: int = 20) -> CriterionReport:
+def six_leg(s: Spider) -> CriterionReport:
     """Spiders with six or more legs always lack some connected-partition
     type.  The witness is located constructively: the block-size test at
     the instantiation the theory singles out, then widening scans, then an
@@ -367,8 +365,8 @@ def six_leg(s: Spider, exhaustive_limit: int = 20) -> CriterionReport:
         if vrep.triggered:
             return CriterionReport("six_leg", True, vrep.witness,
                                    {**vrep.params, "witness_path": "variety_scan"})
-    if s.n <= exhaustive_limit:
-        missing = s.first_missing_type()
+    if s.n <= 20:  # small enough to sweep every type
+        missing = first_missing_type(s)
         if missing is None:
             raise CriterionSoundnessError(
                 f"{s} has six legs yet every type was found present")
@@ -494,14 +492,8 @@ def run_battery(g: Spider | Tree, mode: str = "criteria_only",
     if mode == "criteria_then_expansion" and result.any_triggered:
         return result
 
-    if isinstance(g, Tree):
-        expansion = tree_csf(g, cache, max_n=max_n)
-    else:
-        bound = max_n if max_n is not None else DEFAULT_TREE_ORACLE_BOUND
-        if g.n > bound:
-            raise OracleBoundError(
-                f"{g.n} vertices exceeds the expansion bound {bound}")
-        expansion = spider_csf(g, cache)
+    bound = max_n if max_n is not None else DEFAULT_TREE_ORACLE_BOUND
+    expansion = tree_csf(g, cache, max_n=bound)
     negative = expansion.first_negative()
     result.expansion = expansion
     result.negative_term = negative

@@ -167,13 +167,19 @@ def _spider_csf(legs: tuple[int, ...], cache: CsfCache) -> EExpansion:
     return total
 
 
-def tree_csf(t: Tree, cache: CsfCache | None = None,
+def tree_csf(t: Spider | Tree, cache: CsfCache | None = None,
              max_n: int | None = None) -> EExpansion:
-    """Route a tree to the right engine: paths and spiders go through the
-    closed-form/recursive engines, everything else to the oracle."""
+    """e-expansion of a spider or tree, the one place the expansion bound
+    is applied: a graph with more than ``max_n`` vertices is refused before
+    any engine runs.  Paths and spiders, given as such or as trees, go to
+    the leg-unhooking engine, other trees to the oracle (whose own default
+    bound and hard caps still apply)."""
+    if max_n is not None and t.n > max_n:
+        raise OracleBoundError(
+            f"{t.n} vertices exceeds the expansion bound {max_n}")
     if t.n == 1:
         return EExpansion.single((1,))
-    sp = t.as_spider()
+    sp = t if isinstance(t, Spider) else t.as_spider()
     if sp is not None:
         return spider_csf(sp, cache)
     return csf_oracle(t, max_n=max_n)

@@ -65,9 +65,6 @@ class Spider:
             raise ValueError(f"cannot parse spider notation {text!r}")
         return cls([int(tok) for tok in text[2:-1].split(",")])
 
-    def to_tree(self) -> "Tree":
-        return spider_to_tree(self)
-
     def has_connected_partition(self, typ: Partition) -> bool:
         """Exact check via packing: one part is the center block, the rest
         must fit into the legs (any multiset summing to at most a leg's
@@ -85,16 +82,6 @@ class Spider:
             if _pack(rest, 0, tuple(sorted(caps, reverse=True)), {}):
                 return True
         return False
-
-    def first_missing_type(self) -> Partition | None:
-        """Reverse-lexicographically first type with no connected partition."""
-        for typ in partitions_of(self.n):
-            if not self.has_connected_partition(typ):
-                return typ
-        return None
-
-    def has_all_connected_partitions(self) -> bool:
-        return self.first_missing_type() is None
 
 
 def _pack(items, idx, caps, memo):
@@ -208,10 +195,6 @@ class Tree:
             u, v = ln.split()
             edges.append((int(u), int(v)))
         return cls(n, edges)
-
-    def is_spider(self) -> bool:
-        """At most one vertex of degree >= 3 (paths count as spiders)."""
-        return sum(1 for v in range(self.n) if self.degree(v) >= 3) <= 1
 
     def as_spider(self) -> Spider | None:
         """The Spider this tree is, or None.
@@ -396,16 +379,17 @@ def _dfs_order(t: Tree, root: int):
     return order, parent
 
 
-def first_missing_type(t: Tree) -> Partition | None:
-    """Reverse-lexicographically first type t is missing, or None."""
-    for typ in partitions_of(t.n):
-        if not has_connected_partition(t, typ):
+def first_missing_type(g: Spider | Tree) -> Partition | None:
+    """Reverse-lexicographically first type g has no connected partition
+    of, or None."""
+    for typ in partitions_of(g.n):
+        if not g.has_connected_partition(typ):
             return typ
     return None
 
 
-def has_all_connected_partitions(t: Tree) -> bool:
-    return first_missing_type(t) is None
+def has_all_connected_partitions(g: Spider | Tree) -> bool:
+    return first_missing_type(g) is None
 
 
 def graph_has_connected_partition(g: SimpleGraph, typ: Partition,

@@ -118,18 +118,16 @@ class Partition:
         return cls(parts)
 
 
-def partitions_of(n: int, length: int | None = None,
-                  max_part: int | None = None) -> Iterator[Partition]:
+def partitions_of(n: int, length: int | None = None) -> Iterator[Partition]:
     """Yield every partition of n exactly once, reverse-lexicographically.
 
     The stream starts at (n) and ends at (1^n); n = 0 yields the empty
-    partition once.  ``length`` restricts to exactly that many parts,
-    ``max_part`` bounds the largest part; both preserve the order.
+    partition once.  ``length`` restricts to exactly that many parts and
+    preserves the order.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    cap = n if max_part is None else min(max_part, n)
-    for parts in _gen_parts(n, cap, length):
+    for parts in _gen_parts(n, n, length):
         yield Partition._raw(parts)
 
 

@@ -186,23 +186,6 @@ class EExpansion(_Expansion):
         """One `<coeff> * e[<parts>]` line per term, reverse-lex by key."""
         return "\n".join(f"{c} * e{k}" for k, c in self.items())
 
-    @classmethod
-    def from_text(cls, text: str) -> "EExpansion":
-        terms: dict[Partition, int] = {}
-        degree = 0
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            coeff_s, _, key_s = line.partition("*")
-            key = Partition.parse(key_s.strip()[1:])  # strip leading 'e'
-            coeff = int(coeff_s.strip())
-            if key in terms:
-                raise ValueError(f"duplicate key {key} in expansion text")
-            terms[key] = coeff
-            degree = key.n
-        return cls(degree, terms)
-
     def to_json_obj(self) -> list[dict]:
         """Array of {"partition": [...], "coeff": "<decimal string>"}."""
         return [{"partition": list(k.parts), "coeff": str(c)}
@@ -210,13 +193,6 @@ class EExpansion(_Expansion):
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj())
-
-    @classmethod
-    def from_json_obj(cls, obj: list[dict], degree: int | None = None) -> "EExpansion":
-        terms = {Partition(rec["partition"]): int(rec["coeff"]) for rec in obj}
-        if degree is None:
-            degree = next(iter(terms)).n if terms else 0
-        return cls(degree, terms)
 
 
 class PExpansion(_Expansion):

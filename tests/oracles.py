@@ -90,27 +90,37 @@ def naive_subset_census(n, edges):
 
 
 def connected_partition_types(n, edges):
-    """All achievable component-size types over edge subsets."""
+    """All achievable component-size types over edge subsets of a tree.
+
+    The tree is rooted once; each mask then takes one bottom-up pass in
+    which a vertex adds its size to its parent when the edge between them
+    is kept, and closes a component of that size when it is cut."""
+    adj = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(edges):
+        adj[u].append((v, i))
+        adj[v].append((u, i))
+    order, parent, up = [0], [0] * n, [0] * n
+    seen = {0}
+    for v in order:
+        for w, i in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                parent[w], up[w] = v, i
+                order.append(w)
+    if len(edges) != n - 1 or len(order) != n:
+        raise ValueError("connected_partition_types takes trees only")
+    below = [(v, parent[v], up[v]) for v in reversed(order[1:])]
     out = set()
-    m = len(edges)
-    for mask in range(1 << m):
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                x = parent[x]
-            return x
-
-        for i in range(m):
+    for mask in range(1 << len(edges)):
+        size = [1] * n
+        parts = []
+        for v, p, i in below:
             if mask >> i & 1:
-                ru, rv = find(edges[i][0]), find(edges[i][1])
-                if ru != rv:
-                    parent[ru] = rv
-        sizes = {}
-        for v in range(n):
-            r = find(v)
-            sizes[r] = sizes.get(r, 0) + 1
-        out.add(tuple(sorted(sizes.values(), reverse=True)))
+                size[p] += size[v]
+            else:
+                parts.append(size[v])
+        parts.append(size[0])
+        out.add(tuple(sorted(parts, reverse=True)))
     return out
 
 

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from espider import acceptance, cli
-from espider.graphs import Tree, mn_tree
+from espider.graphs import Spider, Tree, mn_tree, spider_to_tree
 
 
 def run_cli(capsys, *argv):
@@ -72,11 +72,33 @@ def test_expand_and_coeff(capsys):
     assert code == 0 and "e[" in out
 
 
-def test_env_overrides_format(capsys, monkeypatch):
+def test_environment_sets_no_option(capsys, monkeypatch):
+    # flags are the only configuration: variables named like options,
+    # malformed ones included, change nothing
     monkeypatch.setenv("ESPIDER_FORMAT", "json")
+    monkeypatch.setenv("ESPIDER_WORKERS", "x")
+    monkeypatch.setenv("ESPIDER_MAX_N", "x")
     code, out = run_cli(capsys, "analyze", "S[1,1,1]")
-    assert code == 1
-    json.loads(out)
+    assert code == 1 and out.splitlines()[0] == "graph: S[1,1,1]"
+    code, out = run_cli(capsys, "census", "spiders", "4..5")
+    assert code == 0 and out.splitlines()[-1].startswith("summary:")
+
+
+def test_one_expansion_bound_for_spiders_and_trees(capsys, tmp_path):
+    # S[4,2,2] has 9 vertices: past the bound 8 whether it is named as a
+    # spider or read from a tree file, and expand honours an explicit bound
+    f = tmp_path / "s422.txt"
+    f.write_text(spider_to_tree(Spider([4, 2, 2])).to_text())
+    for target in ("S[4,2,2]", str(f)):
+        code = cli.main(["analyze", target, "--mode", "with_expansion",
+                         "--oracle-bound", "8"])
+        captured = capsys.readouterr()
+        assert code == 2 and "exceeds" in captured.err, target
+        assert captured.out == "", target
+    code, out = run_cli(capsys, "expand", "S[4,2,2]", "--oracle-bound", "8")
+    assert code == 2 and out == ""
+    code, out = run_cli(capsys, "expand", "S[4,2,2]")
+    assert code == 0 and out.splitlines()[0] == "9 * e[9]"
 
 
 def test_census_text_and_summary(capsys):
@@ -129,34 +151,16 @@ def test_census_oversize_expansion_degrades_to_unknown(capsys):
 
 
 def test_census_oversize_tree_expansion_degrades(capsys):
-    # the oracle bound 8 is below n = 9: non-spider trees keep their
-    # criteria-only verdicts, spider trees still expand
+    # the bound 8 is below n = 9 for every tree, spider-shaped or not, so
+    # each row and the summary keep their criteria-only verdicts
     _, criteria = run_cli(capsys, "census", "trees", "9..9", "--format", "json",
                           "--mode", "criteria_only")
     code, out = run_cli(capsys, "census", "trees", "9..9", "--format", "json",
                         "--mode", "with_expansion", "--oracle-bound", "8")
-    assert code == 0
+    assert code == 0 and out == criteria
     rows = [json.loads(line) for line in out.splitlines()[:-1]]
-    expected = [json.loads(line) for line in criteria.splitlines()[:-1]]
-    assert len(rows) == len(expected) == 47
-    spider_rows = 0
-    for row, crit in zip(rows, expected):
-        if Tree.from_text(row["tree"]).is_spider():
-            spider_rows += 1
-            assert row["e_positive"] in (True, False)
-        else:
-            assert row == crit
-    assert 0 < spider_rows < 47
+    assert len(rows) == 47
     assert any(row["e_positive"] == "unknown" for row in rows)
-    # the summary counts the rows as they went out
-    flagged = [any(c["triggered"] for c in row["criteria"]) for row in rows]
-    verdicts = [row["e_positive"] for row in rows]
-    assert json.loads(out.splitlines()[-1])["summary"] == {
-        "graphs": 47, "criteria_flagged": sum(flagged),
-        "expansion_negative": sum(v is False and not f
-                                  for v, f in zip(verdicts, flagged)),
-        "e_positive": verdicts.count(True),
-        "unknown": verdicts.count("unknown")}
 
 
 def test_census_legs_filter_and_trees(capsys):
@@ -178,16 +182,15 @@ def test_census_range_errors(capsys):
     assert code == 2
 
 
-def test_census_range_wins_over_env_max_n(capsys, monkeypatch):
-    monkeypatch.setenv("ESPIDER_MAX_N", "7")
-
+def test_census_range_wins_over_env_max_n(capsys):
     def sizes(out):
         rows = csv.reader(l for l in out.splitlines()[1:] if l[:1] != "#")
         return {row[1] for row in rows}
 
     code, out = run_cli(capsys, "census", "spiders", "4..6", "--format", "csv")
     assert code == 0 and sizes(out) == {"4", "5", "6"}
-    code, out = run_cli(capsys, "census", "spiders", "--format", "csv")
+    code, out = run_cli(capsys, "census", "spiders", "--max-n", "7",
+                        "--format", "csv")
     assert code == 0 and sizes(out) == {str(n) for n in range(2, 8)}
     code, _ = run_cli(capsys, "census", "spiders", "4..6", "--max-n", "7")
     assert code == 2
@@ -214,10 +217,11 @@ def test_census_input_checked_before_enumeration(capsys, monkeypatch):
     ("MAX_N", ["conjectures"]),
     ("LEGS", ["census", "spiders", "4..5"]),
 ])
-def test_malformed_env_value_exits_2(capsys, monkeypatch, name, argv):
-    monkeypatch.setenv(f"ESPIDER_{name}", "x")
+def test_malformed_env_value_exits_2(capsys, name, argv):
+    # each value given as its flag: WORKERS is --workers x
+    flag = "--" + name.lower().replace("_", "-")
     with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
+        cli.main(argv + [flag, "x"])
     assert exc.value.code == 2
     assert "invalid int value: 'x'" in capsys.readouterr().err
 

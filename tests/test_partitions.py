@@ -51,12 +51,6 @@ def test_length_filter_preserves_order():
             assert direct == filtered
 
 
-def test_max_part_filter():
-    got = [p.parts for p in partitions_of(6, max_part=3)]
-    assert got == [(3, 3), (3, 2, 1), (3, 1, 1, 1), (2, 2, 2),
-                   (2, 2, 1, 1), (2, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1)]
-
-
 def test_exponential_form_examples():
     assert Partition([3, 2, 2, 1]).exponential_form() == [(3, 1), (2, 2), (1, 1)]
     assert Partition().exponential_form() == []

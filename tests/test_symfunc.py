@@ -163,27 +163,33 @@ def test_evaluate_chromatic_on_known_expansion():
         assert edge.evaluate_chromatic(k) == k * (k - 1)
 
 
+def _assert_lossless(f):
+    """Each text line and each JSON entry is one term of ``items()``, in
+    order, with its exact coefficient."""
+    import json
+    terms = list(f.items())
+    assert EExpansion(f.degree, dict(terms)) == f
+    lines = [line.split(" * e") for line in f.to_text().splitlines()]
+    assert [(Partition.parse(key), int(c)) for c, key in lines] == terms
+    assert [(Partition(rec["partition"]), int(rec["coeff"]))
+            for rec in f.to_json_obj()] == terms
+    assert json.loads(f.to_json()) == f.to_json_obj()
+
+
 def test_text_round_trip_examples():
     f = E([((4,), 4), ((3, 1), 2), ((2, 2), 2)])
     text = f.to_text()
     assert text.splitlines()[0] == "4 * e[4]"
-    assert EExpansion.from_text(text) == f
-    assert EExpansion.from_text("").is_zero()
-
-
-def test_text_rejects_duplicates():
-    with pytest.raises(ValueError):
-        EExpansion.from_text("1 * e[2]\n2 * e[2]")
+    _assert_lossless(f)
+    assert EExpansion.zero().to_text() == ""
+    assert EExpansion.zero().to_json_obj() == []
 
 
 @given(small_expansions)
 @settings(max_examples=60)
 def test_text_and_json_round_trip(p):
     f = p.to_e()
-    assert EExpansion.from_text(f.to_text()) == f
-    import json
-    assert EExpansion.from_json_obj(json.loads(f.to_json()),
-                                    degree=f.degree) == f
+    _assert_lossless(f)
 
 
 def test_json_coefficients_are_strings():
