@@ -288,6 +288,11 @@ def cmd_census(args) -> int:
         raise ValueError(f"--legs must be at least 1, got {legs}")
     if legs is not None and args.kind == "trees":
         raise ValueError("--legs applies to spider censuses only")
+    if legs is not None and legs > hi - 1:
+        raise ValueError(f"no spider with {legs} legs has at most {hi} "
+                         f"vertices")
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     todo = _census_items(args.kind, lo, hi, legs)
 
     summary = dict.fromkeys(("graphs", "criteria_flagged", "expansion_negative",

@@ -86,13 +86,32 @@ def mod_test(s: Spider, m: int) -> CriterionReport:
     return CriterionReport("mod", True, _missing(info.type_partition), params)
 
 
+class _Residues(dict):
+    """``mod_test`` on one spider, run once per modulus and shared by the
+    criteria of one battery.  Build one per battery and drop it with the
+    battery: a longer-lived memo only grows."""
+
+    def __init__(self, s: Spider):
+        super().__init__()
+        self.s = s
+
+    def __missing__(self, m: int) -> CriterionReport:
+        rep = self[m] = mod_test(self.s, m)
+        return rep
+
+
 def mod_test_scan(s: Spider) -> CriterionReport:
     """Residue-sum test over every modulus 2..n; first firing m reported."""
-    for m in range(2, s.n + 1):
-        rep = mod_test(s, m)
+    return _mod_test_scan(_Residues(s))
+
+
+def _mod_test_scan(res: _Residues) -> CriterionReport:
+    n = res.s.n
+    for m in range(2, n + 1):
+        rep = res[m]
         if rep.triggered:
             return rep
-    return CriterionReport("mod", False, params={"scanned_m": f"2..{s.n}"})
+    return CriterionReport("mod", False, params={"scanned_m": f"2..{n}"})
 
 
 def variety_conditions(s: Spider, include_weak: bool = False) -> list[CriterionReport]:
@@ -104,13 +123,19 @@ def variety_conditions(s: Spider, include_weak: bool = False) -> list[CriterionR
     longer than 1; it rests on an argument this artifact does not re-derive,
     so it is off by default and excluded from the soundness guarantees.
     """
+    return _variety_conditions(_Residues(s), include_weak)
+
+
+def _variety_conditions(res: _Residues,
+                        include_weak: bool) -> list[CriterionReport]:
+    s = res.s
     legs = s.legs.parts
     d = s.d
     n = s.n
     out = []
 
     def fire(name, modulus, params):
-        rep = mod_test(s, modulus)
+        rep = res[modulus]
         if not rep.triggered:
             raise CriterionSoundnessError(
                 f"{name} fired but the residue test at m={modulus} found "
@@ -315,6 +340,7 @@ def degree_bound(s: Spider) -> CriterionReport:
     return CriterionReport("degree_bound", False, params={"terms": k_top})
 
 
+@lru_cache(maxsize=None)  # a census asks few distinct (n, k_top) pairs
 def _sum_inv_roots_ge_one(n: int, k_top: int) -> bool:
     if n <= 2:
         return True  # (n/2) <= 1: every term is >= 1
@@ -343,6 +369,11 @@ def six_leg(s: Spider) -> CriterionReport:
     type.  The witness is located constructively: the block-size test at
     the instantiation the theory singles out, then widening scans, then an
     exhaustive type sweep at small n."""
+    return _six_leg(_Residues(s))
+
+
+def _six_leg(res: _Residues) -> CriterionReport:
+    s = res.s
     if s.d < 6:
         return CriterionReport("six_leg", False)
     legs = s.legs.parts
@@ -357,11 +388,11 @@ def six_leg(s: Spider) -> CriterionReport:
     if rep.triggered:
         return CriterionReport("six_leg", True, rep.witness,
                                {**rep.params, "witness_path": "qm_scan"})
-    rep = mod_test_scan(s)
+    rep = _mod_test_scan(res)
     if rep.triggered:
         return CriterionReport("six_leg", True, rep.witness,
                                {**rep.params, "witness_path": "mod_scan"})
-    for vrep in variety_conditions(s):
+    for vrep in _variety_conditions(res, False):
         if vrep.triggered:
             return CriterionReport("six_leg", True, vrep.witness,
                                    {**vrep.params, "witness_path": "variety_scan"})
@@ -383,6 +414,11 @@ def four_leg_q(s: Spider) -> CriterionReport:
     """Four-leg test at m = sum of the two short legs, n = mq + m + r:
     q >= m forces either a missing block type or a negative coefficient at
     (m+r, m^q)."""
+    return _four_leg_q(_Residues(s))
+
+
+def _four_leg_q(res: _Residues) -> CriterionReport:
+    s = res.s
     if s.d != 4:
         return CriterionReport("four_leg_q", False)
     legs = s.legs.parts
@@ -391,10 +427,9 @@ def four_leg_q(s: Spider) -> CriterionReport:
     params = {"m": m, "q": q, "r": r}
     if q < m:
         return CriterionReport("four_leg_q", False, params=params)
-    info = spider_mod_type_info(s, m)
-    if not info.has_type:
-        return CriterionReport("four_leg_q", True,
-                               _missing(info.type_partition), params)
+    rep = res[m]
+    if rep.triggered:
+        return CriterionReport("four_leg_q", True, rep.witness, params)
     key, value = coeff_four_leg(s)
     if value >= 0:
         raise CriterionSoundnessError(
@@ -481,10 +516,11 @@ def run_battery(g: Spider | Tree, mode: str = "criteria_only",
             raise ValueError("the weak variety condition applies to spiders only")
         reports = tree_battery(g)
     else:
-        reports = [mod_test_scan(g)]
-        reports += variety_conditions(g, include_weak=include_weak_variety)
-        reports += [qm_test(g), sqrt_bound(g), degree_bound(g), six_leg(g),
-                    four_leg_q(g), two_odd_legs(g)]
+        res = _Residues(g)
+        reports = [_mod_test_scan(res),
+                   *_variety_conditions(res, include_weak_variety),
+                   qm_test(g), sqrt_bound(g), degree_bound(g), _six_leg(res),
+                   _four_leg_q(res), two_odd_legs(g)]
     result = BatteryResult(str(g), reports,
                            False if any(r.triggered for r in reports) else None)
     if mode == "criteria_only":
@@ -549,5 +585,6 @@ def _spider_reports(legs: Partition) -> tuple[CriterionReport, ...]:
     """The missing-partition criteria on the spider with these legs, shared
     by every tree that reduces to it: copy a report, never mutate one."""
     sp = Spider(legs)
-    return (mod_test_scan(sp), *variety_conditions(sp), qm_test(sp),
-            six_leg(sp))
+    res = _Residues(sp)
+    return (_mod_test_scan(res), *_variety_conditions(res, False),
+            qm_test(sp), _six_leg(res))

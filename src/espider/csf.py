@@ -8,11 +8,18 @@ Two independent routes to the e-basis expansion of X_G:
   walk over every edge subset; both are exact, and everything else is
   checked against this route.
 
-* ``spider_csf`` unhooks the shortest leg of a spider one edge at a time,
-  reducing to shorter spiders times paths, with path expansions from the
-  Shareshian-Wachs recurrence (``path_csf``; the closed-form coefficient
-  ``path_e_coefficient`` is its independent check).  Memoized in
-  process; comfortably reaches spiders far beyond oracle scale.
+* ``spider_csf`` unhooks the shortest leg of a spider one edge at a time
+  by the Orellana-Scott identity (Discrete Math. 320 (2014))
+
+      X[a, M, b] = X[a+1, M, b-1] + X[a, M] P_b - X[b-1, M] P_{a+1},
+
+  so each step costs two products with fewer-legged spiders and paths,
+  and path expansions come from the Shareshian-Wachs recurrence
+  (``path_csf``; the closed-form coefficient ``path_e_coefficient`` is its
+  independent check).  Memoized in process, and each spider starts from
+  its nearest memoized predecessor along the steps, so a census in
+  reverse-lexicographic order pays two products per spider.  Comfortably
+  reaches spiders far beyond oracle scale.
 
 Closed-form coefficient extractors for special keys ((m^q), (2^{n/2}),
 (3, 2^k), and the four-leg (m+r, m^q)) live here too.
@@ -131,15 +138,18 @@ def _path(n: int) -> EExpansion:
 def spider_csf(s: Spider, cache: CsfCache | None = None) -> EExpansion:
     """e-expansion of a spider via leg-unhooking.
 
-    The shortest leg (length b) is eliminated against the longest (length a):
+    With longest leg a, shortest leg b and the other legs M, one step of
+    the Orellana-Scott identity moves an edge from the short leg to the
+    long one:
 
-        X = X[combine a+b] + sum_{k=0}^{b-1} ( X[a -> a+k] * P_{b-k}
-                                             - X[a -> k]   * P_{a+b-k} )
+        X[a, M, b] = X[a+1, M, b-1] + X[a, M] * P_b - X[b-1, M] * P_{a+1}
 
-    where X[a -> v] is the spider with the long leg replaced by v and the
-    short leg dropped (v = 0 drops the leg entirely), and P_j is the j-vertex
-    path.  Spiders with at most two legs are paths.  Results are cached by
-    the sorted leg tuple.
+    where X[v, M] is the spider with legs v and M (v = 0 drops the leg)
+    and P_j is the j-vertex path.  The steps run from the largest j < b
+    whose spider (a+b-j, M, j) is memoized, or from j = 0, the spider
+    (a+b, M) with one leg fewer; the spiders passed on the way are not
+    memoized.  Spiders with at most two legs are paths.  Results are
+    cached by the sorted leg tuple.
     """
     cache = cache if cache is not None else _DEFAULT_CACHE
     return _spider_csf(s.legs.parts, cache)
@@ -149,7 +159,8 @@ def _spider_csf(legs: tuple[int, ...], cache: CsfCache) -> EExpansion:
     legs = tuple(sorted((l for l in legs if l > 0), reverse=True))
     if len(legs) <= 2:
         return path_csf(1 + sum(legs))
-    hit = cache.spiders.get(legs)
+    spiders = cache.spiders
+    hit = spiders.get(legs)
     if hit is not None:
         return hit
     a, b = legs[0], legs[-1]
@@ -158,12 +169,17 @@ def _spider_csf(legs: tuple[int, ...], cache: CsfCache) -> EExpansion:
     def sub(v):
         return _spider_csf((v,) + middle, cache).terms
 
-    acc = dict(sub(a + b))
-    for k in range(b):
-        add_product(acc, sub(a + k), path_csf(b - k).terms)
-        add_product(acc, sub(k), path_csf(a + b - k).terms, -1)
+    j = b - 1
+    while j and (a + b - j,) + middle + (j,) not in spiders:
+        j -= 1
+    start = spiders[(a + b - j,) + middle + (j,)].terms if j else sub(a + b)
+    acc = dict(start)
+    for i in range(j + 1, b + 1):
+        # step from (a+b-i+1, M, i-1) to (a+b-i, M, i)
+        add_product(acc, sub(a + b - i), path_csf(i).terms)
+        add_product(acc, sub(i - 1), path_csf(a + b - i + 1).terms, -1)
     total = EExpansion.from_packed(1 + sum(legs), acc)
-    cache.spiders[legs] = total
+    spiders[legs] = total
     return total
 
 

@@ -62,12 +62,15 @@ class _Expansion:
 
     @classmethod
     def from_packed(cls, degree: int, terms: dict[int, int]):
-        """Wrap packed terms of weight ``degree``, dropping zero
-        coefficients; the caller vouches for the weights, which are not
-        re-checked."""
+        """Wrap packed terms of weight ``degree``, deleting zero
+        coefficients in place: the expansion takes ownership of the dict,
+        which the caller must not use again.  The caller vouches for the
+        weights, which are not re-checked."""
+        for key in [k for k, c in terms.items() if not c]:
+            del terms[key]
         obj = object.__new__(cls)
         object.__setattr__(obj, "degree", degree)
-        object.__setattr__(obj, "terms", {k: c for k, c in terms.items() if c})
+        object.__setattr__(obj, "terms", terms)
         return obj
 
     def __setattr__(self, name, value):

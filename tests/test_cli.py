@@ -169,6 +169,9 @@ def test_census_legs_filter_and_trees(capsys):
     assert code == 0
     assert all(line.count(",") >= 3 or line.startswith("summary")
                for line in out.strip().splitlines())
+    # the most legs the range allows: the star on 8 vertices
+    code, out = run_cli(capsys, "census", "spiders", "4..8", "--legs", "7")
+    assert code == 0 and out.startswith("S[1,1,1,1,1,1,1]:")
     code, out = run_cli(capsys, "census", "trees", "4..7")
     assert code == 0 and "summary:" in out
 
@@ -205,9 +208,19 @@ def test_census_input_checked_before_enumeration(capsys, monkeypatch):
     for argv in (["trees", "4..30"], ["trees", "--max-n", "19"],
                  ["spiders", "12..4"], ["spiders", "1..1"],
                  ["spiders", "4..8", "--legs", "-1"],
-                 ["spiders", "4..8", "--legs", "0"]):
+                 ["spiders", "4..8", "--legs", "0"],
+                 ["spiders", "5", "--legs", "9"],
+                 ["spiders", "4..8", "--legs", "8"]):
         code, out = run_cli(capsys, "census", *argv)
         assert code == 2 and out == "", argv
+
+
+def test_census_workers_below_one_exit_2(capsys):
+    for workers in ("0", "-3"):
+        code = cli.main(["census", "spiders", "4..5", "--workers", workers])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", workers
+        assert "--workers must be at least 1" in captured.err
 
 
 @pytest.mark.parametrize("name,argv", [

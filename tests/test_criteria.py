@@ -1,6 +1,6 @@
 import pytest
 
-from espider import graphs
+from espider import criteria, graphs
 from espider.criteria import (CriterionReport, CriterionSoundnessError,
                               Witness, degree_bound, four_leg_q, mod_test,
                               mod_test_scan, qm_test, run_battery, six_leg,
@@ -154,6 +154,33 @@ def test_battery_on_known_spiders():
     assert res.e_positive is True and not res.any_triggered
     res = run_battery(Spider([5, 4, 1]), mode="criteria_only")
     assert res.e_positive is None
+
+
+def test_battery_matches_criteria_one_by_one(monkeypatch):
+    # the battery shares one residue test per modulus among its criteria
+    asked = []
+    test = criteria.mod_test
+    monkeypatch.setattr(criteria, "mod_test",
+                        lambda s, m: asked.append(m) or test(s, m))
+    for n in range(2, 17):
+        for s in enumerate_spiders(n):
+            asked.clear()
+            battery = run_battery(s).reports
+            assert len(asked) == len(set(asked)), s
+            alone = [mod_test_scan(s), *variety_conditions(s), qm_test(s),
+                     sqrt_bound(s), degree_bound(s), six_leg(s),
+                     four_leg_q(s), two_odd_legs(s)]
+            assert ([r.to_json_obj() for r in battery]
+                    == [r.to_json_obj() for r in alone]), s
+
+
+def test_batteries_share_no_reports():
+    for n in range(2, 11):
+        for s in enumerate_spiders(n):
+            first, second = run_battery(s).reports, run_battery(s).reports
+            assert not {id(r) for r in first} & {id(r) for r in second}, s
+            assert not ({id(r.params) for r in first}
+                        & {id(r.params) for r in second}), s
 
 
 def test_battery_mode_gating():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from espider import csf as csf_module
 from espider.csf import (CsfCache, OracleBoundError,
                          coeff_four_leg, coeff_mq, coeff_three_two,
                          coeff_two_powers, csf_oracle, path_csf,
@@ -132,6 +133,39 @@ def test_spider_engine_equivalence():
     for n in range(2, 11):
         for s in enumerate_spiders(n):
             assert spider_csf(s, cache) == csf_oracle(s), s
+
+
+def test_spider_predecessor_start_matches_fallback():
+    # census order starts each spider from its memoized predecessor;
+    # reverse order and a fresh memo per spider take the full sum
+    spiders = [s for n in range(2, 13) for s in enumerate_spiders(n)]
+    census, reverse = CsfCache(), CsfCache()
+    forward = [spider_csf(s, census).terms for s in spiders]
+    backward = [spider_csf(s, reverse).terms for s in reversed(spiders)]
+    fresh = [spider_csf(s, CsfCache()).terms for s in spiders]
+    assert forward == backward[::-1] == fresh
+
+
+def test_census_order_costs_two_products_per_spider(monkeypatch):
+    spiders = [s for n in range(4, 13) for s in enumerate_spiders(n)]
+    for n in range(1, 13):
+        path_csf(n)  # paths are memoized process-wide; warm them first
+    calls = []
+    product = csf_module.add_product
+    monkeypatch.setattr(csf_module, "add_product",
+                        lambda *a: calls.append(1) or product(*a))
+    cache = CsfCache()
+    for s in spiders:
+        spider_csf(s, cache)
+    assert len(calls) == 2 * sum(1 for s in spiders if s.d >= 3)
+
+
+def test_spider_memo_holds_no_predecessors():
+    # a standalone expansion memoizes only the spiders its sum asks for
+    for legs, entries in (([20, 10, 5, 4], 9), ([12, 10, 8, 6, 4], 31)):
+        cache = CsfCache()
+        spider_csf(Spider(legs), cache)
+        assert len(cache.spiders) == entries, legs
 
 
 def test_tree_csf_routing():
