@@ -209,8 +209,9 @@ def _census_one(g):
 
 
 def _row_from_result(res: BatteryResult, g, criteria=False) -> dict:
-    """One census row; its ``criteria`` entry, the reports as JSON, is
-    built only when asked for (json output and journals read it)."""
+    """One census row; its ``criteria`` entry, the reports as JSON, and a
+    tree's ``tree`` text are built only when asked for (json output and
+    journals read them)."""
     first = res.first_trigger()
     tree = isinstance(g, Tree)
     row = {
@@ -223,8 +224,8 @@ def _row_from_result(res: BatteryResult, g, criteria=False) -> dict:
     }
     if criteria:
         row["criteria"] = [r.to_json_obj() for r in res.reports]
-    if tree:
-        row["tree"] = g.to_text()
+        if tree:
+            row["tree"] = g.to_text()
     return row
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, isqrt
 
-from espider.csf import (CsfCache, DEFAULT_TREE_ORACLE_BOUND, coeff_four_leg,
+from espider.csf import (CsfCache, DEFAULT_TREE_ORACLE_BOUND, _four_leg_coeff,
                          coeff_three_two, three_two_key, tree_csf)
 from espider.graphs import (Spider, Tree, first_missing_type, reduce_to_spider,
                             spider_mod_type_info)
@@ -430,7 +430,8 @@ def _four_leg_q(res: _Residues) -> CriterionReport:
     rep = res[m]
     if rep.triggered:
         return CriterionReport("four_leg_q", True, rep.witness, params)
-    key, value = coeff_four_leg(s)
+    # the type (m^(q+1), r) is present, so r > 0, and q >= m >= 2
+    key, value = _four_leg_coeff(m, q, r)
     if value >= 0:
         raise CriterionSoundnessError(
             f"four_leg_q on {s}: q={q} >= m={m} but coefficient at {key} "

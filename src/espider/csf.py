@@ -279,6 +279,12 @@ def coeff_four_leg(s: Spider) -> tuple[Partition, int]:
     if not info.has_type:
         raise ValueError(
             f"{s} has no connected partition of type ({m}^{q + 1}, {r})")
+    return _four_leg_coeff(m, q, r)
+
+
+def _four_leg_coeff(m: int, q: int, r: int) -> tuple[Partition, int]:
+    """``coeff_four_leg``'s key and value from m, q, r, its preconditions
+    already checked by the caller."""
     value = (m - 1) ** (q - 2) * (
         m ** 3 - m ** 2 * q + m ** 2 * r - 2 * m ** 2 - m * q * r + m * q + m + r)
     return Partition((m + r,) + (m,) * q), value

@@ -523,7 +523,8 @@ def _height_is_diameter(seq) -> bool:
     through a, longer than h exactly when l > 2a; when no vertex does, no
     path that meets elsewhere is longer either.  The preorder visits the
     branches in order of decreasing anchor, and a vertex at a level no
-    deeper than the current anchor starts a new branch."""
+    deeper than the current anchor starts a new branch.  The canonical form
+    takes the centers from the path 0..h, so the answer must be exact."""
     h = max(seq)
     anchor = h
     for level in seq[h + 1:]:
@@ -534,61 +535,44 @@ def _height_is_diameter(seq) -> bool:
     return True
 
 
-def _levels_to_tree(seq) -> Tree:
-    n = len(seq)
-    if n == 1:
-        return Tree(1, [])
-    latest = [0] * n  # latest vertex seen at each level
-    edges = []
-    for i in range(1, n):
-        lvl = seq[i]
-        edges.append((latest[lvl - 1], i))
-        latest[lvl] = i
-    return Tree(n, edges)
+def _parents(seq) -> list[int]:
+    """Each vertex's parent in the rooted tree of a level sequence (the
+    latest vertex one level up); the root is its own parent."""
+    latest = [0] * len(seq)  # latest vertex seen at each level
+    parents = [0]
+    for i in range(1, len(seq)):
+        parents.append(latest[seq[i] - 1])
+        latest[seq[i]] = i
+    return parents
 
 
-def tree_centers(t: Tree) -> list[int]:
-    """The 1 or 2 middle vertices, found by iterative leaf stripping."""
-    if t.n == 1:
-        return [0]
-    deg = [t.degree(v) for v in range(t.n)]
-    layer = [v for v in range(t.n) if deg[v] == 1]
-    removed = len(layer)
-    while removed < t.n:
-        nxt = []
-        for v in layer:
-            for w in t.adj[v]:
-                deg[w] -= 1
-                if deg[w] == 1:
-                    nxt.append(w)
-        if not nxt:
-            break
-        removed += len(nxt)
-        layer = nxt
-    return sorted(layer)
+def _canonical_form(seq) -> tuple[int, ...]:
+    """Level sequence of the tree rooted at its center, minimized over both
+    centers when it is bicentral.  Equal forms iff isomorphic.
 
+    Only for a sequence that passes ``_height_is_diameter``: it starts with
+    a longest path 0, 1, ..., h, so the centers are its middle vertex
+    h // 2 and, when h is odd, h // 2 + 1."""
+    adj = [[] for _ in seq]
+    for v, p in enumerate(_parents(seq)):
+        if v:
+            adj[p].append(v)
+            adj[v].append(p)
 
-def _canonical_rooted_seq(t: Tree, root: int) -> tuple[int, ...]:
-    def canon(v, parent, depth):
-        subs = sorted((canon(w, v, depth + 1) for w in t.adj[v] if w != parent),
-                      reverse=True)
+    def encode(v, up, depth):
         out = (depth,)
-        for s in subs:
-            out += s
+        for sub in sorted([encode(w, v, depth + 1) for w in adj[v] if w != up],
+                          reverse=True):
+            out += sub
         return out
 
-    return canon(root, -1, 0)
+    h = max(seq)
+    return min(encode(c, -1, 0) for c in range(h // 2, h - h // 2 + 1))
 
 
-def canonical_form(t: Tree) -> tuple[int, ...]:
-    """Level sequence rooted at the center, minimized over both centers
-    when the tree is bicentral.  Equal forms iff isomorphic."""
-    return min(_canonical_rooted_seq(t, c) for c in tree_centers(t))
-
-
-# Largest n enumerate_trees accepts.  Its cost grows 2.5-3 times per vertex:
-# 0.7 s, 1.8 s and 5.1 s at n = 14, 15, 16 (Python 3.11, one core of a
-# 2-core machine), so n = 18 should take about 45 s.
+# Largest n enumerate_trees accepts.  Its cost grows about 3 times per
+# vertex: 0.3 s, 1.0-1.2 s and 2.8-3.4 s at n = 14, 15, 16 (Python 3.11,
+# one core of a 2-core machine), so n = 18 should take about 30 s.
 MAX_TREE_N = 18
 
 
@@ -600,17 +584,15 @@ def enumerate_trees(n: int) -> Iterator[Tree]:
     at an end of a longest path (length D), a tree's canonical sequence
     starts 0, 1, ..., D and beats every rooting of smaller height in
     lexicographic order; the sequences come in decreasing order, so one
-    whose height is below its diameter is never first and is skipped before
-    a tree or a canonical form is built."""
+    whose height is below its diameter is never first and is skipped.  The
+    canonical form comes from the sequence itself, and a ``Tree`` is built
+    only for each class's representative as it is yielded."""
     if not 1 <= n <= MAX_TREE_N:
         raise ValueError(f"n must be in 1..{MAX_TREE_N}, got {n}")
     seen = {}
     for seq in _rooted_level_sequences(n):
-        if not _height_is_diameter(seq):
-            continue
-        t = _levels_to_tree(seq)
-        form = canonical_form(t)
-        if form not in seen:
-            seen[form] = t
+        if _height_is_diameter(seq):
+            seen.setdefault(_canonical_form(seq), seq)
     for form in sorted(seen):
-        yield seen[form]
+        parents = _parents(seen[form])
+        yield Tree(n, [(parents[v], v) for v in range(1, n)])

@@ -365,6 +365,31 @@ def test_csv_census_builds_no_criteria_json(capsys, monkeypatch, tmp_path):
     assert any(rec["row"]["criteria"] for rec in records[1:])
 
 
+def test_csv_census_builds_no_tree_text(capsys, monkeypatch, tmp_path):
+    calls = []
+    to_text = Tree.to_text
+
+    def counted(self):
+        calls.append(self.n)
+        return to_text(self)
+
+    monkeypatch.setattr(Tree, "to_text", counted)
+    code, out = run_cli(capsys, "census", "trees", "4..8", "--format", "csv")
+    assert code == 0 and out.splitlines()[0] == cli.CSV_HEADER
+    assert calls == []
+    # json rows and journal records still carry the tree
+    code, out = run_cli(capsys, "census", "trees", "4..5", "--format", "json")
+    rows = [json.loads(line) for line in out.splitlines()[:-1]]
+    assert code == 0 and len(rows) == 2 + 3 and len(calls) == len(rows)
+    assert [Tree.from_text(row["tree"]).n for row in rows] == [4, 4, 5, 5, 5]
+    journal = tmp_path / "j.jsonl"
+    code, _ = run_cli(capsys, "census", "trees", "4..6", "--format", "csv",
+                      "--resume", str(journal))
+    records = [json.loads(line) for line in journal.read_text().splitlines()]
+    assert code == 0 and len(records) == 1 + 2 + 3 + 6
+    assert all("tree" in rec["row"] for rec in records[1:])
+
+
 def test_conjectures_smoke(capsys):
     code, out = run_cli(capsys, "conjectures", "--max-m", "1", "--max-n", "8")
     assert code == 0

@@ -174,6 +174,25 @@ def test_battery_matches_criteria_one_by_one(monkeypatch):
                     == [r.to_json_obj() for r in alone]), s
 
 
+def test_four_leg_coefficient_reuses_battery_residues(monkeypatch):
+    # the four-leg criterion reads its residue test from the battery's memo;
+    # the coefficient it then evaluates runs no residue test of its own
+    from espider import csf
+
+    calls = []
+    info = csf.spider_mod_type_info
+    monkeypatch.setattr(csf, "spider_mod_type_info",
+                        lambda s, m: calls.append((s, m)) or info(s, m))
+    negative = 0
+    for n in range(4, 21):
+        for s in enumerate_spiders(n):
+            rep = run_battery(s).reports[-2]
+            assert rep.name == "four_leg_q"
+            negative += (rep.triggered
+                         and rep.witness.kind == "negative_coefficient")
+    assert negative and calls == []
+
+
 def test_batteries_share_no_reports():
     for n in range(2, 11):
         for s in enumerate_spiders(n):

@@ -3,15 +3,15 @@ import pickle
 
 import pytest
 
-from espider.graphs import (SimpleGraph, Spider, Tree, _height_is_diameter,
-                            _levels_to_tree, _rooted_level_sequences,
-                            canonical_form, enumerate_spiders,
+from espider.graphs import (SimpleGraph, Spider, Tree, _canonical_form,
+                            _height_is_diameter, _parents,
+                            _rooted_level_sequences, enumerate_spiders,
                             enumerate_trees, first_missing_type,
                             graph_has_connected_partition,
                             has_all_connected_partitions,
                             has_connected_partition, line_graph, mn_tree,
                             reduce_to_spider, spider_mod_type_info,
-                            spider_to_tree, tree_centers)
+                            spider_to_tree)
 from espider.partitions import Partition, partitions_of
 
 from oracles import (ahu_canonical, connected_partition_types,
@@ -240,7 +240,11 @@ def test_height_is_diameter_matches_bfs():
 
     for n in range(2, 12):
         for seq in _rooted_level_sequences(n):
-            adj = _levels_to_tree(seq).adj
+            adj = [[] for _ in seq]
+            for v, p in enumerate(_parents(seq)):
+                if v:
+                    adj[p].append(v)
+                    adj[v].append(p)
             diameter = farthest(adj, farthest(adj, 0)[0])[1]
             assert _height_is_diameter(seq) == (max(seq) == diameter), seq
 
@@ -260,25 +264,29 @@ def test_enumerate_trees_vs_prufer_oracle():
 
 def test_enumerate_trees_pairwise_non_isomorphic():
     for n in range(2, 11):
-        forms = [canonical_form(t) for t in enumerate_trees(n)]
-        assert len(forms) == len(set(forms))
-        ahu = {ahu_canonical(t.n, sorted(t.edges)) for t in enumerate_trees(n)}
-        assert len(ahu) == len(forms)
+        trees = list(enumerate_trees(n))
+        ahu = {ahu_canonical(t.n, sorted(t.edges)) for t in trees}
+        assert len(ahu) == len(trees)
+
+
+def test_canonical_form_matches_ahu():
+    # on every sequence the enumerator keeps, the form taken from the
+    # sequence's leading path is an isomorphism invariant and a complete one
+    for n in range(1, 11):
+        pairs = set()
+        for seq in _rooted_level_sequences(n):
+            if _height_is_diameter(seq):
+                parents = _parents(seq)
+                edges = [(parents[v], v) for v in range(1, n)]
+                pairs.add((_canonical_form(seq), ahu_canonical(n, edges)))
+        assert len({f for f, _ in pairs}) == len(pairs), n
+        assert len({a for _, a in pairs}) == len(pairs), n
 
 
 def test_enumerate_trees_deterministic():
     a = [sorted(t.edges) for t in enumerate_trees(9)]
     b = [sorted(t.edges) for t in enumerate_trees(9)]
     assert a == b
-
-
-def test_tree_centers():
-    path5 = Tree(5, [(i, i + 1) for i in range(4)])
-    assert tree_centers(path5) == [2]
-    path4 = Tree(4, [(i, i + 1) for i in range(3)])
-    assert tree_centers(path4) == [1, 2]
-    star = spider_to_tree(Spider([1, 1, 1, 1]))
-    assert tree_centers(star) == [0]
 
 
 def test_as_spider_routing():
