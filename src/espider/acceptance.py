@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 from espider.criteria import qm_test, run_battery
-from espider.csf import (CsfCache, coeff_four_leg, coeff_mq, coeff_three_two,
+from espider.csf import (coeff_four_leg, coeff_mq, coeff_three_two,
                          coeff_two_powers, csf_oracle, path_e_coefficient,
                          spider_csf, three_two_key, tree_csf)
 from espider.graphs import (Spider, Tree, enumerate_spiders, enumerate_trees,
-                            has_all_connected_partitions, line_graph, mn_tree,
+                            first_missing_type, line_graph, mn_tree,
                             spider_mod_type_info, spider_to_tree)
 from espider.partitions import Partition, partitions_of
 
@@ -68,11 +68,10 @@ def check_path_formula():
 def check_engine_equivalence():
     """2. spider_csf equals csf_oracle term-for-term, all spiders with at
     most 13 vertices (covering the 77 leg shapes on 13)."""
-    cache = CsfCache()
     count = 0
     for n in range(2, 14):
         for s in enumerate_spiders(n):
-            assert spider_csf(s, cache) == csf_oracle(s), s
+            assert spider_csf(s) == csf_oracle(s), s
             count += 1
     return f"{count} spiders agree"
 
@@ -85,16 +84,15 @@ KNOWN_E_POSITIVE = [
 
 def check_known_e_positive():
     """3. The known e-positive spiders expand with nonnegative coefficients."""
-    cache = CsfCache()
     names = []
     for legs in KNOWN_E_POSITIVE:
         s = Spider(legs)
-        X = spider_csf(s, cache)
+        X = spider_csf(s)
         assert X.is_e_positive(), (s, X.first_negative())
         names.append(str(s))
     for n in range(2, 10):
         s = Spider([n, n - 1, 1])
-        assert spider_csf(s, cache).is_e_positive(), s
+        assert spider_csf(s).is_e_positive(), s
         names.append(str(s))
     return f"{len(names)} spiders e-positive incl. S[15,6,1] (23 vertices)"
 
@@ -103,22 +101,21 @@ def check_complete_but_negative():
     """4. Spiders with every connected-partition type present yet negative
     expansions: S(6,4,1,1) by direct expansion; S(15,12,2,1) and
     S(16,12,2,1) via the four-leg test with the coefficient re-verified."""
-    cache = CsfCache()
     s = Spider([6, 4, 1, 1])
-    assert has_all_connected_partitions(s), "S(6,4,1,1) missing a type"
-    X = spider_csf(s, cache)
+    assert first_missing_type(s) is None, "S(6,4,1,1) missing a type"
+    X = spider_csf(s)
     neg = X.first_negative()
     assert neg is not None, "S(6,4,1,1) unexpectedly e-positive"
     out = [f"S[6,4,1,1] neg at {neg[0]}={neg[1]}"]
     for legs in [(15, 12, 2, 1), (16, 12, 2, 1)]:
         s = Spider(legs)
-        assert has_all_connected_partitions(s), f"{s} missing a type"
+        assert first_missing_type(s) is None, f"{s} missing a type"
         res = run_battery(s, mode="criteria_only")
         rep = next(r for r in res.reports if r.name == "four_leg_q")
         assert rep.triggered, f"four_leg_q silent on {s}"
         w = rep.witness
         assert w.kind == "negative_coefficient", (s, w.kind)
-        got = spider_csf(s, cache).coefficient(w.partition)
+        got = spider_csf(s).coefficient(w.partition)
         assert got == w.value and got < 0, (s, w.partition, w.value, got)
         out.append(f"{s} coeff {w.partition.exponential_str()}={got}")
     return "; ".join(out)
@@ -127,7 +124,6 @@ def check_complete_but_negative():
 def check_mq_formula():
     """5. Block coefficient m(m-1)^(q-1) against direct extraction,
     every qualifying spider n <= 14."""
-    cache = CsfCache()
     checked = 0
     for n in range(2, 15):
         for s in enumerate_spiders(n):
@@ -138,7 +134,7 @@ def check_mq_formula():
                 if not spider_mod_type_info(s, m).has_type:
                     continue
                 if X is None:
-                    X = spider_csf(s, cache)
+                    X = spider_csf(s)
                 key = Partition((m,) * (n // m))
                 assert coeff_mq(s, m) == X.coefficient(key), (s, m)
                 checked += 1
@@ -149,13 +145,12 @@ def check_mq_formula():
 def check_two_powers_formula():
     """6. All-twos coefficient (-1)^((j-1)/2) * 2 on every even spider
     n <= 14; the claw gives -2."""
-    cache = CsfCache()
     assert coeff_two_powers(Spider([1, 1, 1])) == -2
     checked = 0
     for n in range(2, 15, 2):
         for s in enumerate_spiders(n):
             key = Partition((2,) * (n // 2))
-            got = spider_csf(s, cache).coefficient(key)
+            got = spider_csf(s).coefficient(key)
             assert coeff_two_powers(s) == got, (s, got)
             checked += 1
     return f"{checked} even spiders match"
@@ -165,13 +160,12 @@ def check_three_two_formula():
     """7. (3, 2^k) coefficient 4(k1+k2-k3-...-kd)+2d-1 against direct
     extraction on every qualifying spider n <= 13, including two-leg
     spiders (the 4(k1+k2)+3 path base)."""
-    cache = CsfCache()
     checked = paths = 0
     for n in range(3, 14, 2):
         for s in enumerate_spiders(n):
             if sum(1 for l in s.legs if l % 2) != 2:
                 continue
-            got = spider_csf(s, cache).coefficient(three_two_key(n))
+            got = spider_csf(s).coefficient(three_two_key(n))
             assert coeff_three_two(s) == got, (s, got)
             checked += 1
             if s.d == 2:
@@ -184,7 +178,6 @@ def check_four_leg_reading():
     """8. The four-leg coefficient formula evaluated at the weight-n key
     (m+r, m^q) matches direct extraction on every qualifying spider
     n <= 14; S(3,3,2,1) is among them."""
-    cache = CsfCache()
     seen = []
     for n in range(5, 15):
         for s in enumerate_spiders(n, legs=4):
@@ -194,7 +187,7 @@ def check_four_leg_reading():
             if r == 0 or q < 2 or not spider_mod_type_info(s, m).has_type:
                 continue
             key, value = coeff_four_leg(s)
-            got = spider_csf(s, cache).coefficient(key)
+            got = spider_csf(s).coefficient(key)
             assert value == got, (s, key, value, got)
             seen.append(str(s))
     assert "S[3,3,2,1]" in seen, seen
@@ -221,12 +214,11 @@ def check_soundness_sweep():
     """10. No false accusations: on every spider n <= 16, any triggered
     criterion implies the exact expansion has a negative coefficient, and
     every witness re-verifies (run_battery raises otherwise)."""
-    cache = CsfCache()
     total = flagged = 0
     for n in range(2, 17):
         for s in enumerate_spiders(n):
             total += 1
-            res = run_battery(s, mode="with_expansion", cache=cache, max_n=16)
+            res = run_battery(s, mode="with_expansion", max_n=16)
             if res.any_triggered:
                 flagged += 1
                 assert res.e_positive is False, s
@@ -283,16 +275,15 @@ def check_mn_example():
     """13. The two-leaf path family: e-positive for n in {1,2,4,5,7,8},
     not for n in {10,11} (exact oracle expansion, up to 25 vertices); the
     reduced spiders S(n+2,n-1,1) are not e-positive for n in {2,4,5,8}."""
-    cache = CsfCache()
     for n in MN_E_POSITIVE:
-        X = tree_csf(mn_tree(n), cache, max_n=25)
+        X = tree_csf(mn_tree(n), max_n=25)
         assert X.is_e_positive(), f"M_{n}"
     for n in MN_NEGATIVE:
-        X = tree_csf(mn_tree(n), cache, max_n=25)
+        X = tree_csf(mn_tree(n), max_n=25)
         assert not X.is_e_positive(), f"M_{n}"
     for n in (2, 4, 5, 8):
         s = Spider([n + 2, n - 1, 1])
-        assert not spider_csf(s, cache).is_e_positive(), s
+        assert not spider_csf(s).is_e_positive(), s
     return ("M_n e-positive for n in {1,2,4,5,7,8}, negative for {10,11}; "
             "S(n+2,n-1,1) negative for n in {2,4,5,8}")
 
@@ -300,13 +291,11 @@ def check_mn_example():
 def check_four_leg_sweep():
     """14. Zero e-positive spiders with four legs and n <= 40
     (criteria first, exact expansion for any survivor)."""
-    cache = CsfCache()
     total = expanded = 0
     for n in range(5, 41):
         for s in enumerate_spiders(n, legs=4):
             total += 1
-            res = run_battery(s, mode="criteria_then_expansion",
-                              cache=cache, max_n=40)
+            res = run_battery(s, mode="criteria_then_expansion", max_n=40)
             if res.e_positive is None:
                 expanded += 1
             assert res.e_positive is not True, s
@@ -316,14 +305,13 @@ def check_four_leg_sweep():
 def check_conjecture_spots():
     """15. Conjecture spot checks: S(6,2,1) and S(10,4,1) e-positive; the
     line graph of every e-positive spider with n <= 12 is e-positive."""
-    cache = CsfCache()
     for legs in [(6, 2, 1), (10, 4, 1)]:
         s = Spider(legs)
-        assert spider_csf(s, cache).is_e_positive(), s
+        assert spider_csf(s).is_e_positive(), s
     checked = 0
     for n in range(2, 13):
         for s in enumerate_spiders(n):
-            if not spider_csf(s, cache).is_e_positive():
+            if not spider_csf(s).is_e_positive():
                 continue
             lg = line_graph(spider_to_tree(s))
             if lg.n == 0:

@@ -56,9 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("analyze", help="run the criterion battery on one graph")
     sp.add_argument("target", help="S[l1,l2,...], P<n>, or a tree file")
-    sp.add_argument("--weak-variety", action="store_true",
-                    help="also allow the weak form of variety condition 1 "
-                         "(spiders only; excluded from soundness guarantees)")
     common(sp, mode=True)
 
     sp = sub.add_parser("expand", help="print an expansion or one coefficient")
@@ -70,10 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("census", help="sweep all spiders or trees in a size range")
     sp.add_argument("kind", choices=("spiders", "trees"))
-    sp.add_argument("range", nargs="?",
-                    help="vertex range like 4..12 (or a single n)")
-    sp.add_argument("--max-n", type=int,
-                    help="alternative to a range: sweep up to this n")
+    sp.add_argument("range", help="vertex range like 4..12 (or a single n)")
     sp.add_argument("--legs", type=int,
                     help="restrict spiders to exactly this many legs")
     sp.add_argument("--workers", type=int, default=1,
@@ -136,8 +130,7 @@ def _render_battery_text(res: BatteryResult, out):
 def cmd_analyze(args) -> int:
     bound = _check_bound(args.oracle_bound)
     g, label = _parse_target(args.target)
-    res = run_battery(g, mode=args.mode, max_n=bound,
-                      include_weak_variety=args.weak_variety)
+    res = run_battery(g, mode=args.mode, max_n=bound)
     res.graph = label
     if args.format == "json":
         print(json.dumps(res.to_json_obj()))
@@ -171,15 +164,9 @@ def cmd_expand(args) -> int:
 # ---------------------------------------------------------------------------
 # census
 
-def _parse_range(args) -> tuple[int, int]:
-    if args.range and args.max_n is not None:
-        raise ValueError("give either a range or --max-n, not both")
-    if args.range:
-        lo, sep, hi = args.range.partition("..")
-        return (int(lo), int(hi)) if sep else (int(lo), int(lo))
-    if args.max_n is not None:
-        return (2, args.max_n)
-    raise ValueError("census needs a range (like 4..12) or --max-n")
+def _parse_range(text: str) -> tuple[int, int]:
+    lo, sep, hi = text.partition("..")
+    return (int(lo), int(hi)) if sep else (int(lo), int(lo))
 
 
 def _census_items(kind, lo, hi, legs):
@@ -279,7 +266,7 @@ def _read_journal(path, header, summary) -> tuple[int, int]:
 
 def cmd_census(args) -> int:
     bound = _check_bound(args.oracle_bound)
-    lo, hi = _parse_range(args)
+    lo, hi = _parse_range(args.range)
     legs = args.legs
     if max(lo, 2 if args.kind == "spiders" else 1) > hi:
         raise ValueError(f"no {args.kind} with {lo}..{hi} vertices")

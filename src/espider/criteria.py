@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, isqrt
 
-from espider.csf import (CsfCache, DEFAULT_TREE_ORACLE_BOUND, _four_leg_coeff,
+from espider.csf import (DEFAULT_TREE_ORACLE_BOUND, _four_leg_coeff,
                          coeff_three_two, three_two_key, tree_csf)
 from espider.graphs import (Spider, Tree, first_missing_type, reduce_to_spider,
                             spider_mod_type_info)
@@ -114,20 +114,14 @@ def _mod_test_scan(res: _Residues) -> CriterionReport:
     return CriterionReport("mod", False, params={"scanned_m": f"2..{n}"})
 
 
-def variety_conditions(s: Spider, include_weak: bool = False) -> list[CriterionReport]:
+def variety_conditions(s: Spider) -> list[CriterionReport]:
     """Six standalone leg-shape conditions, each sufficient for
     non-e-positivity.  Every firing condition reduces to a residue-sum
-    failure at some modulus, so each witness is a concrete missing type.
-
-    ``include_weak`` also allows equality in condition 1 for inner legs
-    longer than 1; it rests on an argument this artifact does not re-derive,
-    so it is off by default and excluded from the soundness guarantees.
-    """
-    return _variety_conditions(_Residues(s), include_weak)
+    failure at some modulus, so each witness is a concrete missing type."""
+    return _variety_conditions(_Residues(s))
 
 
-def _variety_conditions(res: _Residues,
-                        include_weak: bool) -> list[CriterionReport]:
+def _variety_conditions(res: _Residues) -> list[CriterionReport]:
     s = res.s
     legs = s.legs.parts
     d = s.d
@@ -143,23 +137,14 @@ def _variety_conditions(res: _Residues,
         return CriterionReport(name, True, rep.witness,
                                {**params, "modulus": modulus})
 
-    # 1: some leg shorter than the ones after it combined.  The weak form
-    # (equality allowed on inner legs longer than 1) is trusted from an
-    # external argument, so it carries a text witness, not a missing type.
+    # 1: some leg shorter than the ones after it combined.
     rep = None
     for i in range(d - 1):
         tail = sum(legs[i + 1:])
-        params = {"i": i + 1, "leg": legs[i], "tail": tail}
         if legs[i] < tail:
-            rep = fire("variety_1", legs[i] + 1, {**params, "weak": False})
-            break
-        if include_weak and i >= 1 and legs[i] > 1 and legs[i] == tail:
-            rep = CriterionReport(
-                "variety_1", True,
-                Witness("inequality",
-                        text=f"leg_{i + 1} = {legs[i]} equals the tail sum "
-                             f"(weak form, not independently re-derived)"),
-                {**params, "weak": True})
+            rep = fire("variety_1", legs[i] + 1,
+                       {"i": i + 1, "leg": legs[i], "tail": tail,
+                        "weak": False})
             break
     out.append(rep or CriterionReport("variety_1", False))
 
@@ -368,7 +353,9 @@ def six_leg(s: Spider) -> CriterionReport:
     """Spiders with six or more legs always lack some connected-partition
     type.  The witness is located constructively: the block-size test at
     the instantiation the theory singles out, then widening scans, then an
-    exhaustive type sweep at small n."""
+    exhaustive type sweep at small n.  The variety conditions are not
+    scanned: each fires only where the residue test at its modulus (one of
+    2..n) fires, and the residue scan has already tried them all."""
     return _six_leg(_Residues(s))
 
 
@@ -392,10 +379,6 @@ def _six_leg(res: _Residues) -> CriterionReport:
     if rep.triggered:
         return CriterionReport("six_leg", True, rep.witness,
                                {**rep.params, "witness_path": "mod_scan"})
-    for vrep in _variety_conditions(res, False):
-        if vrep.triggered:
-            return CriterionReport("six_leg", True, vrep.witness,
-                                   {**vrep.params, "witness_path": "variety_scan"})
     if s.n <= 20:  # small enough to sweep every type
         missing = first_missing_type(s)
         if missing is None:
@@ -496,9 +479,7 @@ MODES = ("criteria_only", "with_expansion", "criteria_then_expansion")
 
 
 def run_battery(g: Spider | Tree, mode: str = "criteria_only",
-                cache: CsfCache | None = None,
-                max_n: int | None = None,
-                include_weak_variety: bool = False) -> BatteryResult:
+                max_n: int | None = None) -> BatteryResult:
     """Run the criterion battery on one spider or tree.
 
     A spider gets every criterion; a tree gets ``tree_battery``, whose
@@ -507,19 +488,15 @@ def run_battery(g: Spider | Tree, mode: str = "criteria_only",
     fires); ``with_expansion`` always expands (within the size bound) and
     re-verifies every witness against the graph and the exact expansion;
     ``criteria_then_expansion`` expands only when no criterion fired.
-    The weak variety condition has a text witness that does not carry
-    over to trees, so it is refused there.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if isinstance(g, Tree):
-        if include_weak_variety:
-            raise ValueError("the weak variety condition applies to spiders only")
         reports = tree_battery(g)
     else:
         res = _Residues(g)
         reports = [_mod_test_scan(res),
-                   *_variety_conditions(res, include_weak_variety),
+                   *_variety_conditions(res),
                    qm_test(g), sqrt_bound(g), degree_bound(g), _six_leg(res),
                    _four_leg_q(res), two_odd_legs(g)]
     result = BatteryResult(str(g), reports,
@@ -530,7 +507,7 @@ def run_battery(g: Spider | Tree, mode: str = "criteria_only",
         return result
 
     bound = max_n if max_n is not None else DEFAULT_TREE_ORACLE_BOUND
-    expansion = tree_csf(g, cache, max_n=bound)
+    expansion = tree_csf(g, max_n=bound)
     negative = expansion.first_negative()
     result.expansion = expansion
     result.negative_term = negative
@@ -587,5 +564,5 @@ def _spider_reports(legs: Partition) -> tuple[CriterionReport, ...]:
     by every tree that reduces to it: copy a report, never mutate one."""
     sp = Spider(legs)
     res = _Residues(sp)
-    return (_mod_test_scan(res), *_variety_conditions(res, False),
+    return (_mod_test_scan(res), *_variety_conditions(res),
             qm_test(sp), _six_leg(res))

@@ -46,21 +46,6 @@ class OracleBoundError(ValueError):
     """Raised when a graph exceeds the configured oracle size bound."""
 
 
-class CsfCache:
-    """In-process memo of spider expansions, keyed by the sorted leg tuple.
-
-    Entries are immutable expansions and recomputation is idempotent, so a
-    memo is safe to share and each worker process simply keeps its own.
-    Path expansions are memoized by ``_path`` itself.
-    """
-
-    def __init__(self):
-        self.spiders: dict[tuple[int, ...], EExpansion] = {}
-
-
-_DEFAULT_CACHE = CsfCache()
-
-
 def _as_graph(g) -> tuple[int, list[tuple[int, int]]]:
     if isinstance(g, Spider):
         g = spider_to_tree(g)
@@ -135,7 +120,13 @@ def _path(n: int) -> EExpansion:
     return EExpansion.from_packed(n, acc)
 
 
-def spider_csf(s: Spider, cache: CsfCache | None = None) -> EExpansion:
+# Spider expansions by sorted leg tuple, process-wide like ``_path``:
+# entries are immutable and recomputation is idempotent, so each worker
+# process simply keeps its own.
+_spiders: dict[tuple[int, ...], EExpansion] = {}
+
+
+def spider_csf(s: Spider) -> EExpansion:
     """e-expansion of a spider via leg-unhooking.
 
     With longest leg a, shortest leg b and the other legs M, one step of
@@ -149,42 +140,39 @@ def spider_csf(s: Spider, cache: CsfCache | None = None) -> EExpansion:
     whose spider (a+b-j, M, j) is memoized, or from j = 0, the spider
     (a+b, M) with one leg fewer; the spiders passed on the way are not
     memoized.  Spiders with at most two legs are paths.  Results are
-    cached by the sorted leg tuple.
+    memoized in ``_spiders`` by the sorted leg tuple.
     """
-    cache = cache if cache is not None else _DEFAULT_CACHE
-    return _spider_csf(s.legs.parts, cache)
+    return _spider_csf(s.legs.parts)
 
 
-def _spider_csf(legs: tuple[int, ...], cache: CsfCache) -> EExpansion:
+def _spider_csf(legs: tuple[int, ...]) -> EExpansion:
     legs = tuple(sorted((l for l in legs if l > 0), reverse=True))
     if len(legs) <= 2:
         return path_csf(1 + sum(legs))
-    spiders = cache.spiders
-    hit = spiders.get(legs)
+    hit = _spiders.get(legs)
     if hit is not None:
         return hit
     a, b = legs[0], legs[-1]
     middle = legs[1:-1]
 
     def sub(v):
-        return _spider_csf((v,) + middle, cache).terms
+        return _spider_csf((v,) + middle).terms
 
     j = b - 1
-    while j and (a + b - j,) + middle + (j,) not in spiders:
+    while j and (a + b - j,) + middle + (j,) not in _spiders:
         j -= 1
-    start = spiders[(a + b - j,) + middle + (j,)].terms if j else sub(a + b)
+    start = _spiders[(a + b - j,) + middle + (j,)].terms if j else sub(a + b)
     acc = dict(start)
     for i in range(j + 1, b + 1):
         # step from (a+b-i+1, M, i-1) to (a+b-i, M, i)
         add_product(acc, sub(a + b - i), path_csf(i).terms)
         add_product(acc, sub(i - 1), path_csf(a + b - i + 1).terms, -1)
     total = EExpansion.from_packed(1 + sum(legs), acc)
-    spiders[legs] = total
+    _spiders[legs] = total
     return total
 
 
-def tree_csf(t: Spider | Tree, cache: CsfCache | None = None,
-             max_n: int | None = None) -> EExpansion:
+def tree_csf(t: Spider | Tree, max_n: int | None = None) -> EExpansion:
     """e-expansion of a spider or tree, the one place the expansion bound
     is applied: a graph with more than ``max_n`` vertices is refused before
     any engine runs.  Paths and spiders, given as such or as trees, go to
@@ -197,7 +185,7 @@ def tree_csf(t: Spider | Tree, cache: CsfCache | None = None,
         return EExpansion.single((1,))
     sp = t if isinstance(t, Spider) else t.as_spider()
     if sp is not None:
-        return spider_csf(sp, cache)
+        return spider_csf(sp)
     return csf_oracle(t, max_n=max_n)
 
 

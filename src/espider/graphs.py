@@ -252,14 +252,13 @@ class ModTypeInfo:
     sigma >= 2m; either failure mode proves the type missing.
     """
 
-    __slots__ = ("m", "q", "r", "sigma", "residues", "has_type")
+    __slots__ = ("m", "q", "r", "sigma", "has_type")
 
-    def __init__(self, m, q, r, sigma, residues, has_type):
+    def __init__(self, m, q, r, sigma, has_type):
         self.m = m
         self.q = q
         self.r = r
         self.sigma = sigma
-        self.residues = residues
         self.has_type = has_type
 
     @property
@@ -275,7 +274,7 @@ def spider_mod_type_info(s: Spider, m: int) -> ModTypeInfo:
     residues = s.legs.residue_vector(m)
     sigma = 1 + sum(residues)
     has = sigma == r or (sigma == m + r and any(x >= r for x in residues))
-    return ModTypeInfo(m, q, r, sigma, residues, has)
+    return ModTypeInfo(m, q, r, sigma, has)
 
 
 def spider_to_tree(s: Spider) -> Tree:
@@ -386,10 +385,6 @@ def first_missing_type(g: Spider | Tree) -> Partition | None:
         if not g.has_connected_partition(typ):
             return typ
     return None
-
-
-def has_all_connected_partitions(g: Spider | Tree) -> bool:
-    return first_missing_type(g) is None
 
 
 def graph_has_connected_partition(g: SimpleGraph, typ: Partition,

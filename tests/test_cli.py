@@ -25,6 +25,11 @@ def test_analyze_exit_codes(capsys, tmp_path):
     assert code == 2
     code, _ = run_cli(capsys, "analyze", str(tmp_path / "absent.txt"))
     assert code == 2
+    # variety condition 1 has its strict form only: no flag for a weak one
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", "S[4,2,2]", "--weak-variety"])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_analyze_tree_file(capsys, tmp_path):
@@ -45,8 +50,6 @@ def test_analyze_tree_input_errors(capsys, tmp_path):
         code = cli.main(["analyze", str(f), "--mode", "with_expansion"])
         captured = capsys.readouterr()
         assert code == 2 and "exceeds" in captured.err and captured.out == ""
-        code, _ = run_cli(capsys, "analyze", str(f), "--weak-variety")
-        assert code == 2
 
 
 def test_analyze_json_schema(capsys):
@@ -164,8 +167,7 @@ def test_census_oversize_tree_expansion_degrades(capsys):
 
 
 def test_census_legs_filter_and_trees(capsys):
-    code, out = run_cli(capsys, "census", "spiders", "--max-n", "8",
-                        "--legs", "4")
+    code, out = run_cli(capsys, "census", "spiders", "2..8", "--legs", "4")
     assert code == 0
     assert all(line.count(",") >= 3 or line.startswith("summary")
                for line in out.strip().splitlines())
@@ -177,26 +179,28 @@ def test_census_legs_filter_and_trees(capsys):
 
 
 def test_census_range_errors(capsys):
-    code, _ = run_cli(capsys, "census", "spiders")
-    assert code == 2
-    code, _ = run_cli(capsys, "census", "spiders", "4..6", "--max-n", "9")
-    assert code == 2
-    code, _ = run_cli(capsys, "census", "trees", "4..6", "--legs", "3")
-    assert code == 2
+    # a range is the only way to give the sizes: no range, or --max-n in
+    # its place, is refused by the parser
+    for argv in (["spiders"], ["spiders", "--max-n", "9"],
+                 ["spiders", "4..6", "--max-n", "9"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["census", *argv])
+        assert exc.value.code == 2, argv
+    capsys.readouterr()
+    for argv in (["trees", "4..6", "--legs", "3"], ["spiders", "4..x"]):
+        code, out = run_cli(capsys, "census", *argv)
+        assert code == 2 and out == "", argv
 
 
-def test_census_range_wins_over_env_max_n(capsys):
+def test_census_range_sets_the_sizes(capsys):
     def sizes(out):
         rows = csv.reader(l for l in out.splitlines()[1:] if l[:1] != "#")
         return {row[1] for row in rows}
 
     code, out = run_cli(capsys, "census", "spiders", "4..6", "--format", "csv")
     assert code == 0 and sizes(out) == {"4", "5", "6"}
-    code, out = run_cli(capsys, "census", "spiders", "--max-n", "7",
-                        "--format", "csv")
-    assert code == 0 and sizes(out) == {str(n) for n in range(2, 8)}
-    code, _ = run_cli(capsys, "census", "spiders", "4..6", "--max-n", "7")
-    assert code == 2
+    code, out = run_cli(capsys, "census", "spiders", "5", "--format", "csv")
+    assert code == 0 and sizes(out) == {"5"}
 
 
 def test_census_input_checked_before_enumeration(capsys, monkeypatch):
@@ -205,7 +209,7 @@ def test_census_input_checked_before_enumeration(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "enumerate_trees", refuse)
     monkeypatch.setattr(cli, "enumerate_spiders", refuse)
-    for argv in (["trees", "4..30"], ["trees", "--max-n", "19"],
+    for argv in (["trees", "4..30"], ["trees", "2..19"],
                  ["spiders", "12..4"], ["spiders", "1..1"],
                  ["spiders", "4..8", "--legs", "-1"],
                  ["spiders", "4..8", "--legs", "0"],
@@ -226,7 +230,7 @@ def test_census_workers_below_one_exit_2(capsys):
 @pytest.mark.parametrize("name,argv", [
     ("WORKERS", ["census", "spiders", "4..5"]),
     ("ORACLE_BOUND", ["analyze", "S[1,1,1]"]),
-    ("MAX_N", ["census", "spiders"]),
+    ("ORACLE_BOUND", ["census", "spiders", "4..5"]),
     ("MAX_N", ["conjectures"]),
     ("LEGS", ["census", "spiders", "4..5"]),
 ])

@@ -6,7 +6,7 @@ from espider.criteria import (CriterionReport, CriterionSoundnessError,
                               mod_test_scan, qm_test, run_battery, six_leg,
                               sqrt_bound, tree_battery, two_odd_legs,
                               variety_conditions)
-from espider.csf import CsfCache, OracleBoundError, spider_csf, tree_csf
+from espider.csf import OracleBoundError, spider_csf, tree_csf
 from espider.graphs import (Spider, Tree, enumerate_spiders, enumerate_trees,
                             mn_tree, reduce_to_spider, spider_to_tree)
 from espider.partitions import Partition
@@ -38,17 +38,8 @@ def test_variety_examples():
     for n in (5, 7, 9):
         reps = variety_conditions(Spider([n, n - 1, 1]))
         assert triggered_names(reps) == []
-
-
-def test_variety_weak_form_is_opt_in():
-    # S(2,2,1): leg 2 equals the tail 2+... wait, legs (2,2,1): leg2=2, tail=1.
-    # Use S(3,3,1): inner leg 3 equals tail 3+1? no. Construct equality:
-    # legs (4,2,2): i=2 has leg 2, tail 2 -> weak equality with leg > 1.
-    s = Spider([4, 2, 2])
-    strict = variety_conditions(s)[0]
-    weak = variety_conditions(s, include_weak=True)[0]
-    assert not strict.triggered
-    assert weak.triggered and weak.params["weak"]
+    # condition 1 is strict: S(4,2,2)'s inner leg 2 equals its tail 2
+    assert not variety_conditions(Spider([4, 2, 2]))[0].triggered
 
 
 def test_qm_worked_example():
@@ -214,10 +205,9 @@ def test_battery_mode_gating():
 
 
 def test_battery_soundness_small():
-    cache = CsfCache()
     for n in range(2, 14):
         for s in enumerate_spiders(n):
-            res = run_battery(s, mode="with_expansion", cache=cache, max_n=13)
+            res = run_battery(s, mode="with_expansion", max_n=13)
             if res.any_triggered:
                 assert res.e_positive is False, s
 
@@ -225,10 +215,9 @@ def test_battery_soundness_small():
 def test_witness_validity_small():
     # missing-type witnesses re-checked structurally, negative-coefficient
     # witnesses against the exact expansion (run_battery raises on mismatch)
-    cache = CsfCache()
     for n in range(2, 13):
         for s in enumerate_spiders(n):
-            res = run_battery(s, mode="with_expansion", cache=cache, max_n=12)
+            res = run_battery(s, mode="with_expansion", max_n=12)
             for rep in res.reports:
                 if rep.triggered and rep.witness.kind == "missing_type":
                     assert not s.has_connected_partition(rep.witness.partition)
@@ -324,38 +313,34 @@ def test_witness_recheck_once_per_type(monkeypatch):
 
 
 def test_tree_battery_soundness():
-    cache = CsfCache()
     for n in range(4, 13):
         for t in enumerate_trees(n):
             if run_battery(t, mode="criteria_only").any_triggered:
-                assert not tree_csf(t, cache).is_e_positive(), t
+                assert not tree_csf(t).is_e_positive(), t
 
 
 def test_battery_on_trees_every_mode():
-    cache = CsfCache()
     for n in range(1, 11):
         for t in enumerate_trees(n):
             fired = any(r.triggered for r in tree_battery(t))
             res = run_battery(t, mode="criteria_only")
             assert res.graph == str(t) and res.expansion is None
             assert res.e_positive is (False if fired else None), t
-            X = tree_csf(t, cache)
-            res = run_battery(t, mode="with_expansion", cache=cache)
+            X = tree_csf(t)
+            res = run_battery(t, mode="with_expansion")
             assert res.expansion == X and res.any_triggered == fired, t
             assert res.e_positive == X.is_e_positive(), t
-            res = run_battery(t, mode="criteria_then_expansion", cache=cache)
+            res = run_battery(t, mode="criteria_then_expansion")
             assert (res.expansion is None) == fired, t
             assert res.e_positive == X.is_e_positive(), t
 
 
-def test_battery_tree_bounds_and_weak_variety():
+def test_battery_tree_bounds():
     big = mn_tree(9)  # 21 vertices, not a spider
     with pytest.raises(OracleBoundError):
         run_battery(big, mode="with_expansion")
     res = run_battery(big, mode="criteria_then_expansion")
     assert res.e_positive is False and res.expansion is None
-    with pytest.raises(ValueError, match="spiders only"):
-        run_battery(mn_tree(2), include_weak_variety=True)
 
 
 def test_witness_json_shape():

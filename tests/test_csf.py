@@ -3,8 +3,7 @@ import random
 import pytest
 
 from espider import csf as csf_module
-from espider.csf import (CsfCache, OracleBoundError,
-                         coeff_four_leg, coeff_mq, coeff_three_two,
+from espider.csf import (OracleBoundError, coeff_four_leg, coeff_mq, coeff_three_two,
                          coeff_two_powers, csf_oracle, path_csf,
                          path_e_coefficient, spider_csf, three_two_key,
                          tree_csf)
@@ -72,9 +71,16 @@ def test_path_recurrence_matches_closed_form():
         assert path_csf(n) == closed, n
 
 
-def test_large_spider_counts_colourings():
+def empty_memo(monkeypatch):
+    """Give the spider engine an empty memo until the test ends."""
+    monkeypatch.setattr(csf_module, "_spiders", {})
+    return csf_module._spiders
+
+
+def test_large_spider_counts_colourings(monkeypatch):
+    empty_memo(monkeypatch)
     s = Spider([20, 10, 5, 4])
-    X = spider_csf(s, CsfCache())
+    X = spider_csf(s)
     for k in (s.n, s.n + 1):
         assert X.evaluate_chromatic(k) == k * (k - 1) ** (s.n - 1), k
 
@@ -128,21 +134,25 @@ def test_spider_engine_examples():
     assert spider_csf(Spider([2, 1, 1])).coefficient(Partition([3, 2])) == 1
 
 
-def test_spider_engine_equivalence():
-    cache = CsfCache()
+def test_spider_engine_equivalence(monkeypatch):
+    empty_memo(monkeypatch)
     for n in range(2, 11):
         for s in enumerate_spiders(n):
-            assert spider_csf(s, cache) == csf_oracle(s), s
+            assert spider_csf(s) == csf_oracle(s), s
 
 
-def test_spider_predecessor_start_matches_fallback():
+def test_spider_predecessor_start_matches_fallback(monkeypatch):
     # census order starts each spider from its memoized predecessor;
     # reverse order and a fresh memo per spider take the full sum
     spiders = [s for n in range(2, 13) for s in enumerate_spiders(n)]
-    census, reverse = CsfCache(), CsfCache()
-    forward = [spider_csf(s, census).terms for s in spiders]
-    backward = [spider_csf(s, reverse).terms for s in reversed(spiders)]
-    fresh = [spider_csf(s, CsfCache()).terms for s in spiders]
+    empty_memo(monkeypatch)
+    forward = [spider_csf(s).terms for s in spiders]
+    empty_memo(monkeypatch)
+    backward = [spider_csf(s).terms for s in reversed(spiders)]
+    fresh = []
+    for s in spiders:
+        empty_memo(monkeypatch)
+        fresh.append(spider_csf(s).terms)
     assert forward == backward[::-1] == fresh
 
 
@@ -154,18 +164,18 @@ def test_census_order_costs_two_products_per_spider(monkeypatch):
     product = csf_module.add_product
     monkeypatch.setattr(csf_module, "add_product",
                         lambda *a: calls.append(1) or product(*a))
-    cache = CsfCache()
+    empty_memo(monkeypatch)
     for s in spiders:
-        spider_csf(s, cache)
+        spider_csf(s)
     assert len(calls) == 2 * sum(1 for s in spiders if s.d >= 3)
 
 
-def test_spider_memo_holds_no_predecessors():
+def test_spider_memo_holds_no_predecessors(monkeypatch):
     # a standalone expansion memoizes only the spiders its sum asks for
     for legs, entries in (([20, 10, 5, 4], 9), ([12, 10, 8, 6, 4], 31)):
-        cache = CsfCache()
-        spider_csf(Spider(legs), cache)
-        assert len(cache.spiders) == entries, legs
+        memo = empty_memo(monkeypatch)
+        spider_csf(Spider(legs))
+        assert len(memo) == entries, legs
 
 
 def test_tree_csf_routing():
@@ -177,10 +187,9 @@ def test_tree_csf_routing():
 
 
 def test_chromatic_specialization_on_trees():
-    cache = CsfCache()
     for n in range(1, 10):
         for t in enumerate_trees(n):
-            X = tree_csf(t, cache)
+            X = tree_csf(t)
             for k in range(1, 6):
                 assert X.evaluate_chromatic(k) == k * (k - 1) ** (n - 1), (t, k)
 
@@ -251,10 +260,9 @@ def test_coeff_four_leg():
 
 
 def test_homogeneity_of_engines():
-    cache = CsfCache()
     for legs in [(3, 2, 1), (4, 2, 2), (5, 1, 1, 1)]:
         s = Spider(legs)
-        X = spider_csf(s, cache)
+        X = spider_csf(s)
         assert X.degree == s.n
         assert all(k.n == s.n for k, _ in X.items())
 

@@ -8,7 +8,6 @@ from espider.graphs import (SimpleGraph, Spider, Tree, _canonical_form,
                             _rooted_level_sequences, enumerate_spiders,
                             enumerate_trees, first_missing_type,
                             graph_has_connected_partition,
-                            has_all_connected_partitions,
                             has_connected_partition, line_graph, mn_tree,
                             reduce_to_spider, spider_mod_type_info,
                             spider_to_tree)
@@ -114,9 +113,9 @@ def test_mod_type_info_vs_brute_force():
 
 def test_known_connected_partition_facts():
     assert first_missing_type(Spider([1, 1, 1])) == Partition([2, 2])
-    assert has_all_connected_partitions(Spider([6, 4, 1, 1]))
+    assert first_missing_type(Spider([6, 4, 1, 1])) is None
     assert Spider([2, 2, 2]).has_connected_partition(Partition([2, 2, 2, 1]))
-    assert has_all_connected_partitions(Spider([15, 12, 2, 1]))
+    assert first_missing_type(Spider([15, 12, 2, 1])) is None
 
 
 def test_first_missing_is_revlex_first():
@@ -184,7 +183,7 @@ def test_line_graph_examples():
 def test_complete_spiders_have_complete_line_graphs():
     for n in range(3, 11):
         for s in enumerate_spiders(n):
-            if not has_all_connected_partitions(s):
+            if first_missing_type(s) is not None:
                 continue
             lg = line_graph(spider_to_tree(s))
             for lam in partitions_of(lg.n):
