@@ -25,7 +25,8 @@ from itertools import islice
 
 from espider import acceptance
 from espider.criteria import MODES, BatteryResult, run_battery
-from espider.csf import (MIN_ORACLE_BOUND, OracleBoundError, csf_oracle,
+from espider.csf import (DEFAULT_TREE_ORACLE_BOUND, MIN_ORACLE_BOUND,
+                         OracleBoundError, _census_top, csf_oracle,
                          spider_csf, tree_csf)
 from espider.graphs import (MAX_TREE_N, Spider, Tree, enumerate_spiders,
                             enumerate_trees, line_graph, spider_to_tree)
@@ -181,8 +182,9 @@ def _census_items(kind, lo, hi, legs):
 _WORKER_STATE = {}
 
 
-def _census_init(mode, bound, criteria):
+def _census_init(mode, bound, criteria, top, legs):
     _WORKER_STATE.update(mode=mode, bound=bound, criteria=criteria)
+    _census_top(top, legs)
 
 
 def _census_one(g):
@@ -299,7 +301,13 @@ def cmd_census(args) -> int:
         if not whole:
             journal.write(json.dumps(header) + "\n")
 
-    state = (args.mode, bound, bool(journal) or args.format == "json")
+    # a spider census tells the spider engine the largest size it expands,
+    # so that the memo drops each spider of that size after its last reader
+    top = None
+    if args.kind == "spiders":
+        top = min(hi, DEFAULT_TREE_ORACLE_BOUND if bound is None else bound)
+    state = (args.mode, bound, bool(journal) or args.format == "json", top,
+             legs)
     if args.workers > 1:
         # imported here: only a parallel census needs it, and it adds to
         # every start-up's time and memory
@@ -313,12 +321,15 @@ def cmd_census(args) -> int:
 
     if args.format == "csv" and not done:
         print(CSV_HEADER)
-    for i, row in enumerate(stream, done):
-        _tally(summary, row)
-        if journal:
-            journal.write(json.dumps({"i": i, "row": row}) + "\n")
-            journal.flush()
-        _print_census_row(row, args.format)
+    try:
+        for i, row in enumerate(stream, done):
+            _tally(summary, row)
+            if journal:
+                journal.write(json.dumps({"i": i, "row": row}) + "\n")
+                journal.flush()
+            _print_census_row(row, args.format)
+    finally:
+        _census_top(None)  # later calls in this process memoize every spider
     if pool:
         pool.close()
         pool.join()

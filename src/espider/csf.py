@@ -18,8 +18,10 @@ Two independent routes to the e-basis expansion of X_G:
   (``path_csf``; the closed-form coefficient ``path_e_coefficient`` is its
   independent check).  Memoized in process, and each spider starts from
   its nearest memoized predecessor along the steps, so a census in
-  reverse-lexicographic order pays two products per spider.  Comfortably
-  reaches spiders far beyond oracle scale.
+  reverse-lexicographic order pays two products per spider.  A spider
+  census drops each spider of its top size from the memo after its last
+  reader; library calls memoize every spider.  Comfortably reaches
+  spiders far beyond oracle scale.
 
 Closed-form coefficient extractors for special keys ((m^q), (2^{n/2}),
 (3, 2^k), and the four-leg (m+r, m^q)) live here too.
@@ -122,8 +124,28 @@ def _path(n: int) -> EExpansion:
 
 # Spider expansions by sorted leg tuple, process-wide like ``_path``:
 # entries are immutable and recomputation is idempotent, so each worker
-# process simply keeps its own.
+# process simply keeps its own.  Every spider is kept, except that a
+# spider census (see ``_census_top``) keeps a spider of its top size only
+# until its last reader has been computed.
 _spiders: dict[tuple[int, ...], EExpansion] = {}
+
+# The running spider census: the largest size it expands (None outside a
+# census) and its --legs restriction, and for each memoized top-size
+# spider the number of its readers not yet computed.
+_top_n: int | None = None
+_top_legs: int | None = None
+_readers: dict[tuple[int, ...], int] = {}
+
+
+def _census_top(top: int | None, legs: int | None = None) -> None:
+    """Tell the engine that a spider census expanding spiders of at most
+    ``top`` vertices (with exactly ``legs`` legs, if given) runs in this
+    process; ``top=None`` ends it, so later calls memoize every spider.
+    The census visits spiders by n, then in reverse-lexicographic leg
+    order, which is what the top-size memo rule relies on."""
+    global _top_n, _top_legs
+    _top_n, _top_legs = top, legs
+    _readers.clear()
 
 
 def spider_csf(s: Spider) -> EExpansion:
@@ -140,7 +162,8 @@ def spider_csf(s: Spider) -> EExpansion:
     whose spider (a+b-j, M, j) is memoized, or from j = 0, the spider
     (a+b, M) with one leg fewer; the spiders passed on the way are not
     memoized.  Spiders with at most two legs are paths.  Results are
-    memoized in ``_spiders`` by the sorted leg tuple.
+    memoized in ``_spiders`` by the sorted leg tuple (during a spider
+    census, those of its top size only until their last reader).
     """
     return _spider_csf(s.legs.parts)
 
@@ -167,9 +190,53 @@ def _spider_csf(legs: tuple[int, ...]) -> EExpansion:
         # step from (a+b-i+1, M, i-1) to (a+b-i, M, i)
         add_product(acc, sub(a + b - i), path_csf(i).terms)
         add_product(acc, sub(i - 1), path_csf(a + b - i + 1).terms, -1)
-    total = EExpansion.from_packed(1 + sum(legs), acc)
-    _spiders[legs] = total
+    n = 1 + sum(legs)
+    total = EExpansion.from_packed(n, acc)
+    if n == _top_n:
+        _memoize_top(legs, total)
+    else:
+        _spiders[legs] = total
     return total
+
+
+def _census_computes(legs: tuple[int, ...]) -> bool:
+    """Does the running census compute this top-size spider, if it expands
+    every spider?  Every spider of the top size without --legs.  With
+    --legs k, the k-leg spiders, and the spiders with t = k - len(legs)
+    legs fewer whose sums start from them at j = 0: (c, N) starts
+    (c-1, N, 1), which starts (c-2, N, 1, 1), and so on, so (c, N) is
+    computed when c - t >= N[0]."""
+    return (_top_legs is None
+            or 0 <= _top_legs - len(legs) <= legs[0] - legs[1])
+
+
+def _memoize_top(legs: tuple[int, ...], total: EExpansion) -> None:
+    """Memoize a spider of the census's top size for its readers only.
+
+    In census order a top-size spider L = (a, M, b) is read, later and at
+    most once each, by its successor (a-1, M, b+1), which starts from L as
+    its memoized predecessor, and by (a-1, M, b, 1), whose sum starts from
+    L at j = 0.  So L is kept only if the census computes one of them, with
+    a count of those readers, and dropped once each has been computed.  L
+    is in turn such a reader of its own source, the successor of
+    (a+1, M, b-1) or, when b = 1, the spider with one more leg than
+    (a+1, M): that source loses a reader.  Every read a full memo would
+    serve is still served, so a census does the same products as with a
+    full memo."""
+    a, b, middle = legs[0], legs[-1], legs[1:-1]
+    source = (a + 1,) + middle + ((b - 1,) if b > 1 else ())
+    left = _readers.get(source)
+    if left == 1:
+        del _readers[source], _spiders[source]
+    elif left:
+        _readers[source] = left - 1
+    if a > middle[0]:
+        readers = ((b < middle[-1]
+                    and _census_computes((a - 1,) + middle + (b + 1,)))
+                   + _census_computes((a - 1,) + middle + (b, 1)))
+        if readers:
+            _spiders[legs] = total
+            _readers[legs] = readers
 
 
 def tree_csf(t: Spider | Tree, max_n: int | None = None) -> EExpansion:

@@ -5,7 +5,10 @@ import os
 import pytest
 
 from espider import acceptance, cli
+from espider.criteria import MODES
 from espider.graphs import Spider, Tree, mn_tree, spider_to_tree
+
+from test_csf import empty_memo
 
 
 def run_cli(capsys, *argv):
@@ -227,18 +230,16 @@ def test_census_workers_below_one_exit_2(capsys):
         assert "--workers must be at least 1" in captured.err
 
 
-@pytest.mark.parametrize("name,argv", [
-    ("WORKERS", ["census", "spiders", "4..5"]),
-    ("ORACLE_BOUND", ["analyze", "S[1,1,1]"]),
-    ("ORACLE_BOUND", ["census", "spiders", "4..5"]),
-    ("MAX_N", ["conjectures"]),
-    ("LEGS", ["census", "spiders", "4..5"]),
+@pytest.mark.parametrize("flag,argv", [
+    ("workers", ["census", "spiders", "4..5"]),
+    ("oracle-bound", ["analyze", "S[1,1,1]"]),
+    ("oracle-bound", ["census", "spiders", "4..5"]),
+    ("max-n", ["conjectures"]),
+    ("legs", ["census", "spiders", "4..5"]),
 ])
-def test_malformed_env_value_exits_2(capsys, name, argv):
-    # each value given as its flag: WORKERS is --workers x
-    flag = "--" + name.lower().replace("_", "-")
+def test_malformed_flag_value_exits_2(capsys, flag, argv):
     with pytest.raises(SystemExit) as exc:
-        cli.main(argv + [flag, "x"])
+        cli.main(argv + ["--" + flag, "x"])
     assert exc.value.code == 2
     assert "invalid int value: 'x'" in capsys.readouterr().err
 
@@ -313,6 +314,35 @@ def test_census_workers_match_serial(capsys):
         _, serial = run_cli(capsys, "census", *argv)
         _, parallel = run_cli(capsys, "census", *argv, "--workers", "2")
         assert serial == parallel, argv
+
+
+def test_census_memo_eviction_changes_no_output(capsys, monkeypatch,
+                                                tmp_path):
+    # a spider census drops its top-size spiders from the memo after their
+    # last reader; keeping them must give the same bytes, serially, with
+    # workers, to a new journal and resumed from half of one
+    def outputs(tag):
+        got = []
+        for mode in MODES:
+            for fmt in cli.FORMATS:
+                argv = ["census", "spiders", "4..14", "--mode", mode,
+                        "--format", fmt]
+                for extra in ([], ["--workers", "2"]):
+                    empty_memo(monkeypatch)
+                    got.append(run_cli(capsys, *argv, *extra))
+                j = tmp_path / f"{tag}-{mode}-{fmt}.jsonl"
+                empty_memo(monkeypatch)
+                got.append(run_cli(capsys, *argv, "--resume", str(j)))
+                lines = j.read_text().splitlines(keepends=True)
+                j.write_text("".join(lines[:len(lines) // 2]))
+                empty_memo(monkeypatch)
+                got += [run_cli(capsys, *argv, "--resume", str(j)),
+                        j.read_text()]
+        return got
+
+    evicting = outputs("evicting")
+    monkeypatch.setattr(cli, "_census_top", lambda *a: None)
+    assert outputs("keeping") == evicting
 
 
 def test_cache_flag_and_subcommand_are_gone(capsys, tmp_path):

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import random
 
 import pytest
 
+from espider import cli
 from espider import csf as csf_module
 from espider.csf import (OracleBoundError, coeff_four_leg, coeff_mq, coeff_three_two,
                          coeff_two_powers, csf_oracle, path_csf,
@@ -72,8 +75,12 @@ def test_path_recurrence_matches_closed_form():
 
 
 def empty_memo(monkeypatch):
-    """Give the spider engine an empty memo until the test ends."""
+    """Give the spider engine an empty memo, and no running census, until
+    the test ends."""
     monkeypatch.setattr(csf_module, "_spiders", {})
+    monkeypatch.setattr(csf_module, "_readers", {})
+    monkeypatch.setattr(csf_module, "_top_n", None)
+    monkeypatch.setattr(csf_module, "_top_legs", None)
     return csf_module._spiders
 
 
@@ -170,12 +177,65 @@ def test_census_order_costs_two_products_per_spider(monkeypatch):
     assert len(calls) == 2 * sum(1 for s in spiders if s.d >= 3)
 
 
+STANDALONE_MEMO = (([20, 10, 5, 4], 9), ([12, 10, 8, 6, 4], 31))
+
+
 def test_spider_memo_holds_no_predecessors(monkeypatch):
     # a standalone expansion memoizes only the spiders its sum asks for
-    for legs, entries in (([20, 10, 5, 4], 9), ([12, 10, 8, 6, 4], 31)):
+    for legs, entries in STANDALONE_MEMO:
         memo = empty_memo(monkeypatch)
         spider_csf(Spider(legs))
         assert len(memo) == entries, legs
+
+
+def census(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["census", "spiders", *argv]) == 0
+    return out.getvalue()
+
+
+def test_census_memo_drops_top_size_spiders(monkeypatch):
+    memo = empty_memo(monkeypatch)
+    census("4..20", "--mode", "with_expansion")
+    assert memo and max(1 + sum(legs) for legs in memo) == 19
+    # the census is over: later calls memoize every spider again
+    assert csf_module._top_n is None and not csf_module._readers
+    for legs, entries in STANDALONE_MEMO:
+        monkeypatch.setattr(csf_module, "_spiders", {})
+        spider_csf(Spider(legs))
+        assert len(csf_module._spiders) == entries, legs
+
+
+@pytest.mark.parametrize("argv", [
+    ("4..16", "--mode", "with_expansion"),
+    ("4..16",),
+    ("4..16", "--mode", "with_expansion", "--legs", "4"),
+])
+def test_census_memo_drops_no_product(monkeypatch, argv):
+    # a census that drops its top-size spiders after their last reader does
+    # the products of one that keeps every spider
+    for n in range(1, 17):
+        path_csf(n)
+    calls = []
+    product = csf_module.add_product
+    monkeypatch.setattr(csf_module, "add_product",
+                        lambda *a: calls.append(1) or product(*a))
+    counts, top = [], []
+    for hook in (cli._census_top, lambda *a: None):
+        monkeypatch.setattr(cli, "_census_top", hook)
+        memo = empty_memo(monkeypatch)
+        calls.clear()
+        census(*argv)
+        counts.append(len(calls))
+        top.append(sum(1 for legs in memo if sum(legs) == 15))
+    assert counts[0] == counts[1] > 0, counts
+    if "with_expansion" in argv:
+        # every reader ran, so no 16-vertex spider is left, --legs or not
+        assert top[0] == 0 < top[1]
+    if argv == ("4..16", "--mode", "with_expansion"):
+        assert counts[0] == 2 * sum(1 for n in range(4, 17)
+                                    for s in enumerate_spiders(n) if s.d >= 3)
 
 
 def test_tree_csf_routing():
