@@ -10,8 +10,7 @@ and the pytest gate can never drift apart.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from espider.criteria import qm_test, run_battery
 from espider.csf import (coeff_four_leg, coeff_mq, coeff_three_two,
@@ -322,12 +321,15 @@ def check_conjecture_spots():
     return f"S[6,2,1], S[10,4,1] e-positive; {checked} line graphs e-positive"
 
 
-@dataclass
 class Criterion:
-    number: int
-    name: str
-    func: Callable[[], str]
-    slow: bool = False
+    __slots__ = ("number", "name", "func", "slow")
+
+    def __init__(self, number: int, name: str, func: Callable[[], str],
+                 slow: bool = False):
+        self.number = number
+        self.name = name
+        self.func = func
+        self.slow = slow
 
 
 CRITERIA = [

@@ -23,7 +23,6 @@ import os
 import sys
 from itertools import islice
 
-from espider import acceptance
 from espider.criteria import MODES, BatteryResult, run_battery
 from espider.csf import (DEFAULT_TREE_ORACLE_BOUND, MIN_ORACLE_BOUND,
                          OracleBoundError, _census_top, csf_oracle,
@@ -73,7 +72,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="restrict spiders to exactly this many legs")
     sp.add_argument("--workers", type=int, default=1,
                     help="worker processes, each with its own expansion "
-                         "memo; rows come out in the serial order")
+                         "memo; rows come out in the serial order.  A "
+                         "spider census gains little: each worker rebuilds "
+                         "the memo of the smaller spiders, so two workers "
+                         "take about the serial time and nearly its memory "
+                         "each")
     sp.add_argument("--resume", help="journal file for resumable runs")
     common(sp, mode=True)
 
@@ -362,6 +365,9 @@ def _print_census_row(row, fmt):
 # verify / conjectures
 
 def cmd_verify(args) -> int:
+    # imported here: no other command runs the suite, and every start-up
+    # would pay for it
+    from espider import acceptance
     ok = acceptance.run_all(skip_slow=args.skip_slow)
     return 0 if ok else 1
 

@@ -10,7 +10,6 @@ computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -26,12 +25,67 @@ class CriterionSoundnessError(RuntimeError):
     """A criterion produced a witness its own re-check contradicts."""
 
 
-@dataclass(frozen=True)
-class Witness:
-    kind: str  # "missing_type" | "negative_coefficient" | "inequality"
-    partition: Partition | None = None
-    value: int | None = None
-    text: str = ""
+class _Record:
+    """Equality and repr over the fields a subclass lists in ``_fields``,
+    as ``@dataclass`` would generate them, without importing it."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({args})"
+
+
+# The line a witness built with text=None renders when its text is first
+# read: a csv row reads one witness's text, json and journals read them all.
+_WITNESS_TEXT = {
+    "missing_type": "missing connected partition of type {}",
+    "negative_coefficient": "coefficient at {} is {}",
+}
+
+
+class Witness(_Record):
+    """What a triggered criterion found: ``kind`` is "missing_type",
+    "negative_coefficient" or "inequality".  Immutable.  ``text=None``
+    stands for the kind's standard line, rendered from the partition (and
+    value) on first read."""
+
+    __slots__ = ("kind", "partition", "value", "_text")
+    _fields = ("kind", "partition", "value", "text")
+
+    def __init__(self, kind: str, partition: Partition | None = None,
+                 value: int | None = None, text: str | None = ""):
+        setattr_ = object.__setattr__
+        setattr_(self, "kind", kind)
+        setattr_(self, "partition", partition)
+        setattr_(self, "value", value)
+        setattr_(self, "_text", text)
+
+    @property
+    def text(self) -> str:
+        if self._text is None:
+            object.__setattr__(self, "_text", _WITNESS_TEXT[self.kind].format(
+                self.partition.exponential_str(), self.value))
+        return self._text
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Witness is immutable")
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, not __setattr__
+        return Witness, self._values()
 
     def to_json_obj(self) -> dict:
         out: dict = {"kind": self.kind}
@@ -44,17 +98,17 @@ class Witness:
         return out
 
 
-@dataclass
-class CriterionReport:
-    name: str
-    triggered: bool
-    witness: Witness | None = None
-    params: dict = field(default_factory=dict)
+class CriterionReport(_Record):
+    __slots__ = _fields = ("name", "triggered", "witness", "params")
 
-    def __post_init__(self):
-        if self.triggered and self.witness is None:
-            raise CriterionSoundnessError(
-                f"{self.name} triggered without a witness")
+    def __init__(self, name: str, triggered: bool,
+                 witness: Witness | None = None, params: dict | None = None):
+        if triggered and witness is None:
+            raise CriterionSoundnessError(f"{name} triggered without a witness")
+        self.name = name
+        self.triggered = triggered
+        self.witness = witness
+        self.params = {} if params is None else params
 
     def to_json_obj(self) -> dict:
         return {
@@ -67,9 +121,7 @@ class CriterionReport:
 
 
 def _missing(kind_partition: Partition) -> Witness:
-    return Witness("missing_type", partition=kind_partition,
-                   text=f"missing connected partition of type "
-                        f"{kind_partition.exponential_str()}")
+    return Witness("missing_type", kind_partition, text=None)
 
 
 def mod_test(s: Spider, m: int) -> CriterionReport:
@@ -86,29 +138,44 @@ def mod_test(s: Spider, m: int) -> CriterionReport:
     return CriterionReport("mod", True, _missing(info.type_partition), params)
 
 
-class _Residues(dict):
-    """``mod_test`` on one spider, run once per modulus and shared by the
-    criteria of one battery.  Build one per battery and drop it with the
-    battery: a longer-lived memo only grows."""
+class _LegTables(dict):
+    """What the criteria of one battery share about one spider: ``mod_test``
+    at each modulus, run once on first use (the dict itself), the suffix
+    sums of the legs and, per modulus, how many legs it does not divide.
+    Build one per battery and drop it with the battery: a longer-lived memo
+    only grows."""
 
     def __init__(self, s: Spider):
         super().__init__()
         self.s = s
+        self.legs = legs = s.legs.parts
+        tails = [0] * (s.d + 1)  # tails[i] = legs[i] + ... + legs[d - 1]
+        for i in range(s.d - 1, -1, -1):
+            tails[i] = tails[i + 1] + legs[i]
+        self.tails = tails
+        self._indivisible = {}
 
     def __missing__(self, m: int) -> CriterionReport:
         rep = self[m] = mod_test(self.s, m)
         return rep
 
+    def indivisible(self, m: int) -> int:
+        """How many legs m does not divide."""
+        bad = self._indivisible.get(m)
+        if bad is None:
+            bad = self._indivisible[m] = sum(1 for l in self.legs if l % m)
+        return bad
+
 
 def mod_test_scan(s: Spider) -> CriterionReport:
     """Residue-sum test over every modulus 2..n; first firing m reported."""
-    return _mod_test_scan(_Residues(s))
+    return _mod_test_scan(_LegTables(s))
 
 
-def _mod_test_scan(res: _Residues) -> CriterionReport:
-    n = res.s.n
+def _mod_test_scan(tab: _LegTables) -> CriterionReport:
+    n = tab.s.n
     for m in range(2, n + 1):
-        rep = res[m]
+        rep = tab[m]
         if rep.triggered:
             return rep
     return CriterionReport("mod", False, params={"scanned_m": f"2..{n}"})
@@ -118,18 +185,19 @@ def variety_conditions(s: Spider) -> list[CriterionReport]:
     """Six standalone leg-shape conditions, each sufficient for
     non-e-positivity.  Every firing condition reduces to a residue-sum
     failure at some modulus, so each witness is a concrete missing type."""
-    return _variety_conditions(_Residues(s))
+    return _variety_conditions(_LegTables(s))
 
 
-def _variety_conditions(res: _Residues) -> list[CriterionReport]:
-    s = res.s
-    legs = s.legs.parts
+def _variety_conditions(tab: _LegTables) -> list[CriterionReport]:
+    s = tab.s
+    legs = tab.legs
+    tails = tab.tails
     d = s.d
     n = s.n
     out = []
 
     def fire(name, modulus, params):
-        rep = res[modulus]
+        rep = tab[modulus]
         if not rep.triggered:
             raise CriterionSoundnessError(
                 f"{name} fired but the residue test at m={modulus} found "
@@ -140,7 +208,7 @@ def _variety_conditions(res: _Residues) -> list[CriterionReport]:
     # 1: some leg shorter than the ones after it combined.
     rep = None
     for i in range(d - 1):
-        tail = sum(legs[i + 1:])
+        tail = tails[i + 1]
         if legs[i] < tail:
             rep = fire("variety_1", legs[i] + 1,
                        {"i": i + 1, "leg": legs[i], "tail": tail,
@@ -148,21 +216,21 @@ def _variety_conditions(res: _Residues) -> list[CriterionReport]:
             break
     out.append(rep or CriterionReport("variety_1", False))
 
-    # 2: at least 2m-1 legs with length not divisible by m.
+    # 2: at least 2m-1 legs with length not divisible by m (so 2m-1 <= d).
     rep = None
-    for m in range(2, n + 1):
-        bad = sum(1 for l in legs if l % m)
+    for m in range(2, min(n, (d + 1) // 2) + 1):
+        bad = tab.indivisible(m)
         if bad >= 2 * m - 1:
             rep = fire("variety_2", m, {"m": m, "indivisible_legs": bad})
             break
     out.append(rep or CriterionReport("variety_2", False))
 
-    # 3: m divides n and at least m legs are not divisible by m.
+    # 3: m divides n and at least m legs are not divisible by m (so m <= d).
     rep = None
-    for m in range(2, n + 1):
+    for m in range(2, min(n, d) + 1):
         if n % m:
             continue
-        bad = sum(1 for l in legs if l % m)
+        bad = tab.indivisible(m)
         if bad >= m:
             rep = fire("variety_3", m, {"m": m, "indivisible_legs": bad})
             break
@@ -175,7 +243,7 @@ def _variety_conditions(res: _Residues) -> list[CriterionReport]:
             continue
         hit = None
         for i in range(d):
-            if legs[i] + 1 <= m <= sum(legs[i:]):
+            if legs[i] + 1 <= m <= tails[i]:
                 hit = i
                 break
         if hit is not None:
@@ -184,6 +252,8 @@ def _variety_conditions(res: _Residues) -> list[CriterionReport]:
     out.append(rep or CriterionReport("variety_4", False))
 
     # 5: legs i, j with a common factor g > 1 of leg+1 that misses leg k.
+    # g divides leg_i + 1 and leg_j + 1, so it divides neither leg: some
+    # other leg k escapes g exactly when more than two legs do.
     rep = None
     for i in range(d):
         if rep:
@@ -195,18 +265,18 @@ def _variety_conditions(res: _Residues) -> list[CriterionReport]:
             if g0 == 1:
                 continue
             for g in _divisors_over_one(g0):
-                ks = [k for k in range(d)
-                      if k not in (i, j) and legs[k] % g]
-                if ks:
+                if tab.indivisible(g) > 2:
+                    k = next(k for k in range(d)
+                             if k not in (i, j) and legs[k] % g)
                     rep = fire("variety_5", g,
-                               {"i": i + 1, "j": j + 1, "k": ks[0] + 1, "g": g})
+                               {"i": i + 1, "j": j + 1, "k": k + 1, "g": g})
                     break
     out.append(rep or CriterionReport("variety_5", False))
 
     # 6: n mod t exceeds leg_i where t is the tail sum from leg_i on.
     rep = None
     for i in range(d):
-        t = sum(legs[i:])
+        t = tails[i]
         if t <= 1:
             continue
         if n % t > legs[i]:
@@ -237,24 +307,33 @@ def qm_test(s: Spider, i: int | None = None, m: int | None = None) -> CriterionR
     With no arguments every (i, m) is scanned (m up to ceil(t/2)); passing
     i and m evaluates exactly that instantiation.
     """
-    d = s.d
-    legs = s.legs.parts
-    n = s.n
+    return _qm_test(_LegTables(s), i, m)
+
+
+def _qm_test(tab: _LegTables, i: int | None = None,
+             m: int | None = None) -> CriterionReport:
+    d = tab.s.d
+    n = tab.s.n
+    legs = tab.legs
+    tails = tab.tails  # the tail after leg i (1-indexed) is tails[i]
+
+    def m_top(i):
+        return max(1, -(-tails[i] // 2))
+
     if i is not None:
         if not 2 <= i <= d - 1:
             raise ValueError(f"i must be in 2..{d - 1}, got {i}")
-        pairs = [(i, m2) for m2 in ([m] if m else
-                                    range(1, _qm_m_top(legs, i) + 1))]
+        pairs = [(i, m2) for m2 in ([m] if m else range(1, m_top(i) + 1))]
     elif m is not None:
         pairs = [(i2, m) for i2 in range(2, d)]
     else:
-        pairs = [(i2, m2) for i2 in range(2, d)
-                 for m2 in range(1, _qm_m_top(legs, i2) + 1)]
+        pairs = ((i2, m2) for i2 in range(2, d)
+                 for m2 in range(1, m_top(i2) + 1))
 
     for ii, mm in pairs:
         li = legs[ii - 1]
         lnext = legs[ii]
-        t = sum(legs[ii:])
+        t = tails[ii]
         span = t - 2 * mm + 1
         if span <= 0:
             continue
@@ -272,11 +351,6 @@ def qm_test(s: Spider, i: int | None = None, m: int | None = None) -> CriterionR
     return CriterionReport("qm", False,
                            params=({} if i is None and m is None
                                    else {"i": i, "m": m}))
-
-
-def _qm_m_top(legs, i):
-    t = sum(legs[i:])
-    return max(1, -(-t // 2))
 
 
 def sqrt_bound(s: Spider) -> CriterionReport:
@@ -356,26 +430,26 @@ def six_leg(s: Spider) -> CriterionReport:
     exhaustive type sweep at small n.  The variety conditions are not
     scanned: each fires only where the residue test at its modulus (one of
     2..n) fires, and the residue scan has already tried them all."""
-    return _six_leg(_Residues(s))
+    return _six_leg(_LegTables(s))
 
 
-def _six_leg(res: _Residues) -> CriterionReport:
-    s = res.s
+def _six_leg(tab: _LegTables) -> CriterionReport:
+    s = tab.s
     if s.d < 6:
         return CriterionReport("six_leg", False)
-    legs = s.legs.parts
+    legs = tab.legs
 
     m0 = (legs[1] + 1) // (legs[2] + 1)
     if m0 >= 1:
-        rep = qm_test(s, i=2, m=m0)
+        rep = _qm_test(tab, i=2, m=m0)
         if rep.triggered:
             return CriterionReport("six_leg", True, rep.witness,
                                    {**rep.params, "witness_path": "qm_fixed"})
-    rep = qm_test(s)
+    rep = _qm_test(tab)
     if rep.triggered:
         return CriterionReport("six_leg", True, rep.witness,
                                {**rep.params, "witness_path": "qm_scan"})
-    rep = _mod_test_scan(res)
+    rep = _mod_test_scan(tab)
     if rep.triggered:
         return CriterionReport("six_leg", True, rep.witness,
                                {**rep.params, "witness_path": "mod_scan"})
@@ -397,11 +471,11 @@ def four_leg_q(s: Spider) -> CriterionReport:
     """Four-leg test at m = sum of the two short legs, n = mq + m + r:
     q >= m forces either a missing block type or a negative coefficient at
     (m+r, m^q)."""
-    return _four_leg_q(_Residues(s))
+    return _four_leg_q(_LegTables(s))
 
 
-def _four_leg_q(res: _Residues) -> CriterionReport:
-    s = res.s
+def _four_leg_q(tab: _LegTables) -> CriterionReport:
+    s = tab.s
     if s.d != 4:
         return CriterionReport("four_leg_q", False)
     legs = s.legs.parts
@@ -410,7 +484,7 @@ def _four_leg_q(res: _Residues) -> CriterionReport:
     params = {"m": m, "q": q, "r": r}
     if q < m:
         return CriterionReport("four_leg_q", False, params=params)
-    rep = res[m]
+    rep = tab[m]
     if rep.triggered:
         return CriterionReport("four_leg_q", True, rep.witness, params)
     # the type (m^(q+1), r) is present, so r > 0, and q >= m >= 2
@@ -421,8 +495,7 @@ def _four_leg_q(res: _Residues) -> CriterionReport:
             f"evaluates to {value} >= 0")
     return CriterionReport(
         "four_leg_q", True,
-        Witness("negative_coefficient", partition=key, value=value,
-                text=f"coefficient at {key.exponential_str()} is {value}"),
+        Witness("negative_coefficient", key, value, text=None),
         params)
 
 
@@ -443,18 +516,24 @@ def two_odd_legs(s: Spider) -> CriterionReport:
         return CriterionReport("two_odd_legs", False, params=params)
     return CriterionReport(
         "two_odd_legs", True,
-        Witness("negative_coefficient", partition=key, value=value,
-                text=f"coefficient at {key.exponential_str()} is {value}"),
+        Witness("negative_coefficient", key, value, text=None),
         params)
 
 
-@dataclass
-class BatteryResult:
-    graph: str
-    reports: list[CriterionReport]
-    e_positive: bool | None  # None = unknown (criteria silent, no expansion)
-    expansion: EExpansion | None = None
-    negative_term: tuple[Partition, int] | None = None
+class BatteryResult(_Record):
+    __slots__ = _fields = ("graph", "reports", "e_positive", "expansion",
+                           "negative_term")
+
+    def __init__(self, graph: str, reports: list[CriterionReport],
+                 e_positive: bool | None,
+                 expansion: EExpansion | None = None,
+                 negative_term: tuple[Partition, int] | None = None):
+        self.graph = graph
+        self.reports = reports
+        # None = unknown (criteria silent, no expansion)
+        self.e_positive = e_positive
+        self.expansion = expansion
+        self.negative_term = negative_term
 
     @property
     def any_triggered(self) -> bool:
@@ -494,11 +573,10 @@ def run_battery(g: Spider | Tree, mode: str = "criteria_only",
     if isinstance(g, Tree):
         reports = tree_battery(g)
     else:
-        res = _Residues(g)
-        reports = [_mod_test_scan(res),
-                   *_variety_conditions(res),
-                   qm_test(g), sqrt_bound(g), degree_bound(g), _six_leg(res),
-                   _four_leg_q(res), two_odd_legs(g)]
+        tab = _LegTables(g)
+        reports = [_mod_test_scan(tab), *_variety_conditions(tab),
+                   _qm_test(tab), sqrt_bound(g), degree_bound(g),
+                   _six_leg(tab), _four_leg_q(tab), two_odd_legs(g)]
     result = BatteryResult(str(g), reports,
                            False if any(r.triggered for r in reports) else None)
     if mode == "criteria_only":
@@ -563,6 +641,6 @@ def _spider_reports(legs: Partition) -> tuple[CriterionReport, ...]:
     """The missing-partition criteria on the spider with these legs, shared
     by every tree that reduces to it: copy a report, never mutate one."""
     sp = Spider(legs)
-    res = _Residues(sp)
-    return (_mod_test_scan(res), *_variety_conditions(res),
-            qm_test(sp), _six_leg(res))
+    tab = _LegTables(sp)
+    return (_mod_test_scan(tab), *_variety_conditions(tab),
+            _qm_test(tab), _six_leg(tab))

@@ -10,7 +10,7 @@ every partition type on spiders with dozens of vertices.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from espider.partitions import Partition, partitions_of
 
@@ -22,7 +22,7 @@ class Spider:
     the leg excluding the center.
     """
 
-    __slots__ = ("legs",)
+    __slots__ = ("legs", "n", "d")
 
     def __init__(self, legs):
         if not isinstance(legs, Partition):
@@ -30,6 +30,8 @@ class Spider:
         if len(legs) < 1:
             raise ValueError("a spider needs at least one leg")
         object.__setattr__(self, "legs", legs)
+        object.__setattr__(self, "n", 1 + sum(legs.parts))  # vertices
+        object.__setattr__(self, "d", len(legs.parts))  # legs
 
     def __setattr__(self, name, value):
         raise AttributeError("Spider is immutable")
@@ -37,14 +39,6 @@ class Spider:
     def __reduce__(self):
         # pickle and copy rebuild through the constructor, not __setattr__
         return Spider, (self.legs.parts,)
-
-    @property
-    def n(self) -> int:
-        return 1 + self.legs.n
-
-    @property
-    def d(self) -> int:
-        return len(self.legs)
 
     def __eq__(self, other):
         return isinstance(other, Spider) and self.legs == other.legs
@@ -128,10 +122,7 @@ class Tree:
         if len(edge_set) != n - 1:
             raise ValueError(f"a tree on {n} vertices has {n - 1} edges, "
                              f"got {len(edge_set)}")
-        adj = [[] for _ in range(n)]
-        for u, v in edge_set:
-            adj[u].append(v)
-            adj[v].append(u)
+        adj = _adjacency(n, edge_set)
         # connectivity
         seen = {0}
         stack = [0]
@@ -143,6 +134,21 @@ class Tree:
                     stack.append(y)
         if len(seen) != n:
             raise ValueError("edge set is not connected")
+        self._set(n, edge_set, adj)
+
+    @classmethod
+    def _from_parents(cls, parents) -> Tree:
+        # Internal fast path for a parents array with parents[v] < v for
+        # every v > 0: the tree Tree(n, [(parents[v], v) for v in 1..n-1])
+        # builds, edges inserted in the same order (so the same frozenset
+        # iteration and adjacency order), without the checks.
+        n = len(parents)
+        edge_set = frozenset([(parents[v], v) for v in range(1, n)])
+        obj = object.__new__(cls)
+        obj._set(n, edge_set, _adjacency(n, edge_set))
+        return obj
+
+    def _set(self, n, edge_set, adj):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edge_set)
         object.__setattr__(self, "_adj", tuple(tuple(a) for a in adj))
@@ -211,6 +217,15 @@ class Tree:
         return Spider([self.n - 1])  # a path
 
 
+def _adjacency(n: int, edge_set) -> list[list[int]]:
+    """Neighbour lists in the iteration order of the edge set."""
+    adj = [[] for _ in range(n)]
+    for u, v in edge_set:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
 class SimpleGraph:
     """A loopless simple graph on vertices 0..n-1."""
 
@@ -223,10 +238,7 @@ class SimpleGraph:
                 raise ValueError(f"self-loop at {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range")
-        adj = [[] for _ in range(n)]
-        for u, v in edge_set:
-            adj[u].append(v)
-            adj[v].append(u)
+        adj = _adjacency(n, edge_set)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edge_set)
         object.__setattr__(self, "_adj", tuple(tuple(sorted(a)) for a in adj))
@@ -580,8 +592,8 @@ def enumerate_trees(n: int) -> Iterator[Tree]:
     starts 0, 1, ..., D and beats every rooting of smaller height in
     lexicographic order; the sequences come in decreasing order, so one
     whose height is below its diameter is never first and is skipped.  The
-    canonical form comes from the sequence itself, and a ``Tree`` is built
-    only for each class's representative as it is yielded."""
+    canonical form comes from the sequence itself, and a ``Tree`` is built,
+    unchecked, only for each class's representative as it is yielded."""
     if not 1 <= n <= MAX_TREE_N:
         raise ValueError(f"n must be in 1..{MAX_TREE_N}, got {n}")
     seen = {}
@@ -589,5 +601,4 @@ def enumerate_trees(n: int) -> Iterator[Tree]:
         if _height_is_diameter(seq):
             seen.setdefault(_canonical_form(seq), seq)
     for form in sorted(seen):
-        parents = _parents(seen[form])
-        yield Tree(n, [(parents[v], v) for v in range(1, n)])
+        yield Tree._from_parents(_parents(seen[form]))

@@ -9,8 +9,8 @@ connected-partition types) may assume sortedness.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Iterator
 from math import factorial
-from typing import Iterable, Iterator
 
 
 class Partition:

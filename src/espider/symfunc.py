@@ -14,9 +14,9 @@ rational would be a bug and is never representable here.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from functools import lru_cache
 from math import comb
-from typing import Iterator
 
 from espider.partitions import MAX_PACKED_WEIGHT, Partition, pack, unpack
 

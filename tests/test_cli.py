@@ -1,12 +1,16 @@
 import csv
+import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from espider import acceptance, cli
 from espider.criteria import MODES
 from espider.graphs import Spider, Tree, mn_tree, spider_to_tree
+from espider.partitions import Partition
 
 from test_csf import empty_memo
 
@@ -447,3 +451,66 @@ def test_verify_uses_registry(capsys, monkeypatch):
     fake.append(acceptance.Criterion(3, "bad", boom))
     code, out = run_cli(capsys, "verify", "--skip-slow")
     assert code == 1 and "FAIL  3 bad" in out
+
+
+def test_cli_import_loads_only_what_every_call_needs():
+    # -S keeps site hooks out, so only espider's own imports count; verify
+    # imports the acceptance suite itself and must still run
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    code = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import espider.cli
+print(" ".join(sorted(sys.modules)))
+from espider import acceptance
+acceptance.CRITERIA = acceptance.CRITERIA[:1]
+sys.exit(espider.cli.main(["verify"]))
+"""
+    proc = subprocess.run([sys.executable, "-S", "-c", code, src],
+                          capture_output=True, text=True)
+    loaded, _, rest = proc.stdout.partition("\n")
+    loaded = set(loaded.split())
+    assert "espider.cli" in loaded
+    for name in ("dataclasses", "inspect", "typing", "multiprocessing",
+                 "espider.acceptance"):
+        assert name not in loaded
+    assert proc.returncode == 0 and rest.startswith("PASS  1 path_formula")
+
+
+# sha256 of the stdout of each census, pinned before the battery shared its
+# leg tables and rendered witness text on demand: every report's params
+# and witness text, byte for byte
+CENSUS_DIGESTS = [
+    (("spiders", "4..14"),
+     "be4849da9016fa5bf13eebfebe083e4fd093547cbd1a3b6631f2794b636f7818"),
+    (("trees", "4..10"),
+     "31e8456fae843c67ce7697c5e9a41ed9d48121d93ecbaba4192c86f8c0254db4"),
+]
+
+
+@pytest.mark.parametrize("census,digest", CENSUS_DIGESTS,
+                         ids=[c[0] for c, _ in CENSUS_DIGESTS])
+def test_census_json_is_byte_identical_to_pin(capsys, census, digest):
+    code, out = run_cli(capsys, "census", *census, "--mode", "with_expansion",
+                        "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_csv_census_renders_at_most_one_witness_per_row(capsys, monkeypatch):
+    calls = []
+    exponential_str = Partition.exponential_str
+
+    def counted(self):
+        calls.append(self)
+        return exponential_str(self)
+
+    monkeypatch.setattr(Partition, "exponential_str", counted)
+    code, out = run_cli(capsys, "census", "spiders", "4..16", "--mode",
+                        "with_expansion", "--format", "csv")
+    rows = list(csv.DictReader(line for line in out.splitlines()
+                               if not line.startswith("#")))
+    assert code == 0 and len(rows) == 680  # p(3) + ... + p(15)
+    assert sum(1 for row in rows if row["witness"]) > 300
+    assert len(calls) <= len(rows)

@@ -288,6 +288,19 @@ def test_enumerate_trees_deterministic():
     assert a == b
 
 
+def test_enumerated_trees_match_the_checked_constructor():
+    # the representatives are built without the constructor's checks; each
+    # must be the tree the checked constructor builds from its edges, with
+    # the same adjacency order when the edges come in the order the
+    # enumeration inserts them, (parent, v) by increasing v
+    for n in range(1, 11):
+        for t in enumerate_trees(n):
+            assert t == Tree(n, sorted(t.edges))
+            checked = Tree(n, sorted(t.edges, key=lambda e: e[1]))
+            assert list(t.edges) == list(checked.edges), t
+            assert t.adj == checked.adj, t
+
+
 def test_as_spider_routing():
     assert spider_to_tree(Spider([3, 2])).as_spider() == Spider([5])
     assert spider_to_tree(Spider([2, 1, 1])).as_spider() == Spider([2, 1, 1])
