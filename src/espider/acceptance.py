@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable
+from functools import lru_cache
+from math import isqrt
 
 from espider.criteria import qm_test, run_battery
 from espider.csf import (coeff_four_leg, coeff_mq, coeff_three_two,
@@ -225,12 +227,14 @@ def check_soundness_sweep():
 
 
 def check_six_leg_desk():
-    """11. Every spider with d >= 6, n <= 18 has a verified missing type;
+    """11. Every spider with d >= 6, n <= 24 has a verified missing type
+    (the block-size test finds one, so the six-leg rule never falls back to
+    stating its theorem);
     every tree on <= 12 vertices with a degree-6 vertex is flagged by the
     tree battery and confirmed not e-positive by expansion, each witness
     re-verified in the tree."""
     spiders = 0
-    for n in range(7, 19):
+    for n in range(7, 25):
         for s in enumerate_spiders(n):
             if s.d < 6:
                 continue
@@ -321,6 +325,78 @@ def check_conjecture_spots():
     return f"S[6,2,1], S[10,4,1] e-positive; {checked} line graphs e-positive"
 
 
+def sqrt_bound(s: Spider) -> tuple[int, int] | None:
+    """The paper's geometric leg-growth bounds, which every e-positive
+    spider satisfies, in cross-multiplied integer form: clause 1,
+    2 (leg_i + 1)^2 > n (leg_{i+1} + 1) for 2 <= i <= d - 3, and clause 2,
+    2 leg_i^2 > n leg_{i+1} for 2 < i <= d - 2 (legs 1-indexed).  Returns
+    the first violated (i, clause), or None when every inequality holds."""
+    legs = s.legs.parts
+    n = s.n
+    for i in range(2, s.d - 2):
+        if 2 * (legs[i - 1] + 1) ** 2 <= n * (legs[i] + 1):
+            return i, 1
+    for i in range(3, s.d - 1):
+        if 2 * legs[i - 1] ** 2 <= n * legs[i]:
+            return i, 2
+    return None
+
+
+def degree_bound(s: Spider) -> bool:
+    """The paper's bound for spiders with five or more legs: e-positivity
+    requires sum_{k=1}^{d-3} (n/2)^(-1/2^k) < 1, so True means the sum is
+    certified >= 1.  Decided with widening-precision integer root bounds;
+    no floating point."""
+    return s.d >= 5 and _sum_inv_roots_ge_one(s.n, s.d - 3)
+
+
+@lru_cache(maxsize=None)  # a sweep asks few distinct (n, k_top) pairs
+def _sum_inv_roots_ge_one(n: int, k_top: int) -> bool:
+    if n <= 2:
+        return True  # (n/2) <= 1: every term is >= 1
+    for digits in (30, 60, 120, 240):
+        scale = 10 ** digits
+        lo_sum = 0
+        hi_sum = 0
+        for k in range(1, k_top + 1):
+            lo = 2 * scale // n
+            hi = -(-2 * scale // n)
+            for _ in range(k):
+                lo = isqrt(lo * scale)
+                hi = isqrt(hi * scale) + 1
+            lo_sum += lo
+            hi_sum += hi
+        if hi_sum < scale:
+            return False
+        if lo_sum >= scale:
+            return True
+    raise ArithmeticError(
+        f"could not separate the root sum from 1 at n={n}, k={k_top}")
+
+
+def check_analytic_bounds():
+    """16. The paper's analytic bounds prove nothing the battery does not:
+    on every spider n <= 30 where sqrt_bound or degree_bound fires, the
+    block-size test fires too, and its missing type is confirmed absent."""
+    total = sqrt_fired = degree_fired = 0
+    for n in range(2, 31):
+        for s in enumerate_spiders(n):
+            total += 1
+            by_sqrt = sqrt_bound(s) is not None
+            by_degree = degree_bound(s)
+            if not (by_sqrt or by_degree):
+                continue
+            sqrt_fired += by_sqrt
+            degree_fired += by_degree
+            rep = qm_test(s)
+            assert rep.triggered, s
+            assert not s.has_connected_partition(rep.witness.partition), \
+                (s, rep.witness.partition)
+    assert sqrt_fired and degree_fired, (sqrt_fired, degree_fired)
+    return (f"{total} spiders: sqrt_bound fired on {sqrt_fired}, "
+            f"degree_bound on {degree_fired}, each with a block-size witness")
+
+
 class Criterion:
     __slots__ = ("number", "name", "func", "slow")
 
@@ -348,6 +424,7 @@ CRITERIA = [
     Criterion(13, "mn_example", check_mn_example, slow=True),
     Criterion(14, "four_leg_sweep", check_four_leg_sweep),
     Criterion(15, "conjecture_spots", check_conjecture_spots),
+    Criterion(16, "analytic_bounds", check_analytic_bounds),
 ]
 
 

@@ -1,11 +1,14 @@
 """Non-e-positivity tests for spiders and trees.
 
 Every criterion is one-sided: a trigger proves the chromatic symmetric
-function is not e-positive and carries a witness (a connected-partition
-type that is missing, a negative coefficient with its value, or, for the
-purely analytic bounds, the violated inequality as text).  Criteria never
-decide e-positivity; silence means "unknown" until an exact expansion is
-computed.
+function is not e-positive and carries a witness: a connected-partition
+type that is missing, or a negative coefficient with its value, either of
+which a check can re-test on the graph.  The one exception is the six-leg
+rule's fallback, which states its theorem as text.  Criteria never decide
+e-positivity; silence means "unknown" until an exact expansion is
+computed.  The paper's analytic growth bounds are not in the battery:
+wherever they fire, the block-size test names a missing type (see
+``espider.acceptance``).
 """
 
 from __future__ import annotations
@@ -15,8 +18,7 @@ from math import gcd, isqrt
 
 from espider.csf import (DEFAULT_TREE_ORACLE_BOUND, _four_leg_coeff,
                          coeff_three_two, three_two_key, tree_csf)
-from espider.graphs import (Spider, Tree, first_missing_type, reduce_to_spider,
-                            spider_mod_type_info)
+from espider.graphs import Spider, Tree, reduce_to_spider, spider_mod_type_info
 from espider.partitions import Partition
 from espider.symfunc import EExpansion
 
@@ -55,9 +57,9 @@ _WITNESS_TEXT = {
 
 class Witness(_Record):
     """What a triggered criterion found: ``kind`` is "missing_type",
-    "negative_coefficient" or "inequality".  Immutable.  ``text=None``
-    stands for the kind's standard line, rendered from the partition (and
-    value) on first read."""
+    "negative_coefficient" or, for the six-leg rule's "statement" fallback
+    only, "inequality".  Immutable.  ``text=None`` stands for the kind's
+    standard line, rendered from the partition (and value) on first read."""
 
     __slots__ = ("kind", "partition", "value", "_text")
     _fields = ("kind", "partition", "value", "text")
@@ -211,8 +213,7 @@ def _variety_conditions(tab: _LegTables) -> list[CriterionReport]:
         tail = tails[i + 1]
         if legs[i] < tail:
             rep = fire("variety_1", legs[i] + 1,
-                       {"i": i + 1, "leg": legs[i], "tail": tail,
-                        "weak": False})
+                       {"i": i + 1, "leg": legs[i], "tail": tail})
             break
     out.append(rep or CriterionReport("variety_1", False))
 
@@ -353,83 +354,13 @@ def _qm_test(tab: _LegTables, i: int | None = None,
                                    else {"i": i, "m": m}))
 
 
-def sqrt_bound(s: Spider) -> CriterionReport:
-    """Geometric leg-growth bounds every e-positive spider must satisfy;
-    any failure triggers.  Checked in cross-multiplied integer form."""
-    legs = s.legs.parts
-    d = s.d
-    n = s.n
-    for i in range(2, d - 2):  # 1-indexed 2 <= i <= d-3
-        lhs = 2 * (legs[i - 1] + 1) ** 2
-        rhs = n * (legs[i] + 1)
-        if lhs <= rhs:
-            return CriterionReport(
-                "sqrt_bound", True,
-                Witness("inequality",
-                        text=f"2*(leg_{i}+1)^2 = {lhs} <= n*(leg_{i + 1}+1) = {rhs}"),
-                {"i": i, "clause": 1})
-    for i in range(3, d - 1):  # 1-indexed 2 < i <= d-2
-        lhs = 2 * legs[i - 1] ** 2
-        rhs = n * legs[i]
-        if lhs <= rhs:
-            return CriterionReport(
-                "sqrt_bound", True,
-                Witness("inequality",
-                        text=f"2*leg_{i}^2 = {lhs} <= n*leg_{i + 1} = {rhs}"),
-                {"i": i, "clause": 2})
-    return CriterionReport("sqrt_bound", False)
-
-
-def degree_bound(s: Spider) -> CriterionReport:
-    """Analytic bound for spiders with five or more legs: e-positivity
-    requires sum_{k=1}^{d-3} (n/2)^(-1/2^k) < 1, so a certified 'sum >= 1'
-    triggers.  Decided with widening-precision integer root bounds; no
-    floating point."""
-    if s.d < 5:
-        return CriterionReport("degree_bound", False)
-    k_top = s.d - 3
-    ge_one = _sum_inv_roots_ge_one(s.n, k_top)
-    if ge_one:
-        return CriterionReport(
-            "degree_bound", True,
-            Witness("inequality",
-                    text=f"sum of (n/2)^(-1/2^k), k=1..{k_top}, is >= 1 "
-                         f"at n={s.n}"),
-            {"terms": k_top})
-    return CriterionReport("degree_bound", False, params={"terms": k_top})
-
-
-@lru_cache(maxsize=None)  # a census asks few distinct (n, k_top) pairs
-def _sum_inv_roots_ge_one(n: int, k_top: int) -> bool:
-    if n <= 2:
-        return True  # (n/2) <= 1: every term is >= 1
-    for digits in (30, 60, 120, 240):
-        scale = 10 ** digits
-        lo_sum = 0
-        hi_sum = 0
-        for k in range(1, k_top + 1):
-            lo = 2 * scale // n
-            hi = -(-2 * scale // n)
-            for _ in range(k):
-                lo = isqrt(lo * scale)
-                hi = isqrt(hi * scale) + 1
-            lo_sum += lo
-            hi_sum += hi
-        if hi_sum < scale:
-            return False
-        if lo_sum >= scale:
-            return True
-    raise ArithmeticError(
-        f"could not separate the root sum from 1 at n={n}, k={k_top}")
-
-
 def six_leg(s: Spider) -> CriterionReport:
     """Spiders with six or more legs always lack some connected-partition
     type.  The witness is located constructively: the block-size test at
-    the instantiation the theory singles out, then widening scans, then an
-    exhaustive type sweep at small n.  The variety conditions are not
-    scanned: each fires only where the residue test at its modulus (one of
-    2..n) fires, and the residue scan has already tried them all."""
+    the instantiation the theory singles out, then the full block-size
+    scan.  Should both stay silent, the theorem itself is the witness, as
+    inequality text.  The residue and variety tests are not rerun here:
+    the battery has already reported them."""
     return _six_leg(_LegTables(s))
 
 
@@ -449,18 +380,7 @@ def _six_leg(tab: _LegTables) -> CriterionReport:
     if rep.triggered:
         return CriterionReport("six_leg", True, rep.witness,
                                {**rep.params, "witness_path": "qm_scan"})
-    rep = _mod_test_scan(tab)
-    if rep.triggered:
-        return CriterionReport("six_leg", True, rep.witness,
-                               {**rep.params, "witness_path": "mod_scan"})
-    if s.n <= 20:  # small enough to sweep every type
-        missing = first_missing_type(s)
-        if missing is None:
-            raise CriterionSoundnessError(
-                f"{s} has six legs yet every type was found present")
-        return CriterionReport("six_leg", True, _missing(missing),
-                               {"witness_path": "exhaustive"})
-    # No cheap witness and too large to sweep; state the bare fact.
+    # No block-size witness; state the bare fact.
     return CriterionReport(
         "six_leg", True,
         Witness("inequality", text=f"d = {s.d} >= 6"),
@@ -575,8 +495,8 @@ def run_battery(g: Spider | Tree, mode: str = "criteria_only",
     else:
         tab = _LegTables(g)
         reports = [_mod_test_scan(tab), *_variety_conditions(tab),
-                   _qm_test(tab), sqrt_bound(g), degree_bound(g),
-                   _six_leg(tab), _four_leg_q(tab), two_odd_legs(g)]
+                   _qm_test(tab), _six_leg(tab), _four_leg_q(tab),
+                   two_odd_legs(g)]
     result = BatteryResult(str(g), reports,
                            False if any(r.triggered for r in reports) else None)
     if mode == "criteria_only":

@@ -275,7 +275,9 @@ class ModTypeInfo:
 
     @property
     def type_partition(self) -> Partition:
-        return Partition((self.m,) * self.q + ((self.r,) if self.r else ()))
+        # m^q then 0 < r < m: already descending, every part >= 1
+        return Partition._raw((self.m,) * self.q
+                              + ((self.r,) if self.r else ()))
 
 
 def spider_mod_type_info(s: Spider, m: int) -> ModTypeInfo:

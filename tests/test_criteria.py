@@ -1,11 +1,11 @@
 import pytest
 
 from espider import criteria, graphs
+from espider.acceptance import degree_bound, sqrt_bound
 from espider.criteria import (CriterionReport, CriterionSoundnessError,
-                              Witness, degree_bound, four_leg_q, mod_test,
-                              mod_test_scan, qm_test, run_battery, six_leg,
-                              sqrt_bound, tree_battery, two_odd_legs,
-                              variety_conditions)
+                              Witness, four_leg_q, mod_test, mod_test_scan,
+                              qm_test, run_battery, six_leg, tree_battery,
+                              two_odd_legs, variety_conditions)
 from espider.csf import OracleBoundError, spider_csf, tree_csf
 from espider.graphs import (Spider, Tree, enumerate_spiders, enumerate_trees,
                             mn_tree, reduce_to_spider, spider_to_tree)
@@ -22,6 +22,18 @@ def test_mod_test_examples():
     assert rep.witness.partition == Partition([2, 2])
     assert not mod_test(Spider([2, 2, 2]), 2).triggered
     assert mod_test(Spider([5, 3, 1]), 2).triggered
+
+
+def test_mod_test_builds_no_partition(monkeypatch):
+    # a missing block type (m^q, r) with r < m is descending as built
+    spiders = [s for n in range(2, 13) for s in enumerate_spiders(n)]
+    calls = []
+    init = Partition.__init__
+    monkeypatch.setattr(Partition, "__init__",
+                        lambda self, *a: calls.append(a) or init(self, *a))
+    fired = sum(mod_test(s, m).triggered
+                for s in spiders for m in range(2, s.n + 1))
+    assert fired and calls == []
 
 
 def test_mod_scan_reports_first_m():
@@ -70,28 +82,28 @@ def test_qm_m1_slice_subsumed_by_scan():
 
 
 def test_sqrt_bound_examples():
-    assert sqrt_bound(Spider([3, 3, 3, 3, 3])).triggered
-    rep = sqrt_bound(Spider([100, 30, 9, 1, 1]))
+    assert sqrt_bound(Spider([3, 3, 3, 3, 3])) is not None
+    violated = sqrt_bound(Spider([100, 30, 9, 1, 1]))
     # clause 1 at i=2: 2*31^2 = 1922 > 142*10; clause 2 at i=3:
     # 2*81 = 162 > 142*1 -- both hold, so no trigger
-    assert not rep.triggered
-    rep = sqrt_bound(Spider([100, 30, 3, 1, 1]))
+    assert violated is None
+    violated = sqrt_bound(Spider([100, 30, 3, 1, 1]))
     # now clause 2 at i=3 fails: 2*9 = 18 <= 136*1
-    assert rep.triggered and rep.params == {"i": 3, "clause": 2}
-    assert not sqrt_bound(Spider([3, 2, 1])).triggered
-    assert not sqrt_bound(Spider([4, 3, 2, 1])).triggered  # empty ranges
+    assert violated == (3, 2)
+    assert sqrt_bound(Spider([3, 2, 1])) is None
+    assert sqrt_bound(Spider([4, 3, 2, 1])) is None  # empty ranges
 
 
 def test_degree_bound_examples():
-    assert not degree_bound(Spider([5, 4, 3, 2, 1])).triggered   # n = 16
-    assert degree_bound(Spider([5, 1, 1, 1, 1])).triggered       # n = 10
-    assert not degree_bound(Spider([3, 2, 1])).triggered         # d < 5
+    assert not degree_bound(Spider([5, 4, 3, 2, 1]))   # n = 16
+    assert degree_bound(Spider([5, 1, 1, 1, 1]))       # n = 10
+    assert not degree_bound(Spider([3, 2, 1]))         # d < 5
 
 
 def test_degree_bound_threshold():
     # with five legs the cutoff sits between n = 13 and n = 14
-    assert degree_bound(Spider([8, 1, 1, 1, 1])).triggered       # n = 13
-    assert not degree_bound(Spider([9, 1, 1, 1, 1])).triggered   # n = 14
+    assert degree_bound(Spider([8, 1, 1, 1, 1]))       # n = 13
+    assert not degree_bound(Spider([9, 1, 1, 1, 1]))   # n = 14
 
 
 def test_six_leg_examples():
@@ -102,6 +114,29 @@ def test_six_leg_examples():
     rep = six_leg(s)
     assert rep.triggered
     assert not s.has_connected_partition(rep.witness.partition)
+
+
+def test_six_leg_statement_fallback(monkeypatch):
+    # with the block-size test silenced, the rule states its theorem; the
+    # battery still reaches its verdict and re-checks the rest
+    monkeypatch.setattr(criteria, "_qm_test",
+                        lambda *args, **kwargs: CriterionReport("qm", False))
+    s = Spider([2, 2, 1, 1, 1, 1])
+    rep = six_leg(s)
+    assert rep.triggered and rep.witness.kind == "inequality"
+    assert rep.params["witness_path"] == "statement"
+    res = run_battery(s, mode="with_expansion")
+    assert res.e_positive is False
+    assert res.reports[-3] == rep
+
+
+def test_every_battery_trigger_is_retestable():
+    # each trigger names a type to look for or a coefficient to compute
+    cases = [s for n in range(2, 21) for s in enumerate_spiders(n)]
+    cases += [t for n in range(1, 13) for t in enumerate_trees(n)]
+    kinds = {r.witness.kind for g in cases for r in run_battery(g).reports
+             if r.triggered}
+    assert kinds == {"missing_type", "negative_coefficient"}
 
 
 def test_four_leg_q_examples():
@@ -159,8 +194,7 @@ def test_battery_matches_criteria_one_by_one(monkeypatch):
             battery = run_battery(s).reports
             assert len(asked) == len(set(asked)), s
             alone = [mod_test_scan(s), *variety_conditions(s), qm_test(s),
-                     sqrt_bound(s), degree_bound(s), six_leg(s),
-                     four_leg_q(s), two_odd_legs(s)]
+                     six_leg(s), four_leg_q(s), two_odd_legs(s)]
             assert ([r.to_json_obj() for r in battery]
                     == [r.to_json_obj() for r in alone]), s
 
