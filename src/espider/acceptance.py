@@ -1,10 +1,12 @@
 """The acceptance suite: every headline fact this package claims, checked
 exactly and deterministically at desk scale.
 
-Each criterion is a callable returning a one-line summary on success and
-raising AssertionError on failure.  The registry is shared by the
-``espider verify`` command and by tests/test_acceptance.py, so the CLI gate
-and the pytest gate can never drift apart.
+Each criterion is a ``check_*`` function returning a one-line summary on
+success and raising AssertionError on failure.  The registry ``CRITERIA``
+is the plain list of them: a criterion's number is its position, counted
+from 1, and its name is the function name without ``check_``.  The list is
+shared by the ``espider verify`` command and by tests/test_acceptance.py,
+so the CLI gate and the pytest gate can never drift apart.
 """
 
 from __future__ import annotations
@@ -397,52 +399,44 @@ def check_analytic_bounds():
             f"degree_bound on {degree_fired}, each with a block-size witness")
 
 
-class Criterion:
-    __slots__ = ("number", "name", "func", "slow")
-
-    def __init__(self, number: int, name: str, func: Callable[[], str],
-                 slow: bool = False):
-        self.number = number
-        self.name = name
-        self.func = func
-        self.slow = slow
-
-
 CRITERIA = [
-    Criterion(1, "path_formula", check_path_formula),
-    Criterion(2, "engine_equivalence", check_engine_equivalence),
-    Criterion(3, "known_e_positive", check_known_e_positive),
-    Criterion(4, "complete_but_negative", check_complete_but_negative),
-    Criterion(5, "mq_formula", check_mq_formula),
-    Criterion(6, "two_powers_formula", check_two_powers_formula),
-    Criterion(7, "three_two_formula", check_three_two_formula),
-    Criterion(8, "four_leg_reading", check_four_leg_reading),
-    Criterion(9, "mod_completeness", check_mod_completeness),
-    Criterion(10, "soundness_sweep", check_soundness_sweep),
-    Criterion(11, "six_leg_desk", check_six_leg_desk),
-    Criterion(12, "qm_worked_example", check_qm_worked_example),
-    Criterion(13, "mn_example", check_mn_example, slow=True),
-    Criterion(14, "four_leg_sweep", check_four_leg_sweep),
-    Criterion(15, "conjecture_spots", check_conjecture_spots),
-    Criterion(16, "analytic_bounds", check_analytic_bounds),
+    check_path_formula,
+    check_engine_equivalence,
+    check_known_e_positive,
+    check_complete_but_negative,
+    check_mq_formula,
+    check_two_powers_formula,
+    check_three_two_formula,
+    check_four_leg_reading,
+    check_mod_completeness,
+    check_soundness_sweep,
+    check_six_leg_desk,
+    check_qm_worked_example,
+    check_mn_example,
+    check_four_leg_sweep,
+    check_conjecture_spots,
+    check_analytic_bounds,
 ]
 
 
-def run_all(skip_slow: bool = False) -> bool:
+def criterion_name(check: Callable[[], str]) -> str:
+    """A criterion's name: its function's name without ``check_``."""
+    return check.__name__.removeprefix("check_")
+
+
+def run_all() -> bool:
     """Run every criterion, print one timed pass/fail line each, return
     overall success."""
     ok = True
-    for crit in CRITERIA:
-        if skip_slow and crit.slow:
-            print(f"SKIP {crit.number:2d} {crit.name} (slow)")
-            continue
+    for number, check in enumerate(CRITERIA, 1):
+        name = criterion_name(check)
         t0 = time.time()
         try:
-            summary = crit.func()
-            print(f"PASS {crit.number:2d} {crit.name} "
+            summary = check()
+            print(f"PASS {number:2d} {name} "
                   f"({time.time() - t0:.2f}s): {summary}")
         except AssertionError as exc:
             ok = False
-            print(f"FAIL {crit.number:2d} {crit.name} "
+            print(f"FAIL {number:2d} {name} "
                   f"({time.time() - t0:.2f}s): {exc}")
     return ok

@@ -80,8 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--resume", help="journal file for resumable runs")
     common(sp, mode=True)
 
-    sp = sub.add_parser("verify", help="run the acceptance suite")
-    sp.add_argument("--skip-slow", action="store_true")
+    sub.add_parser("verify", help="run the acceptance suite")
 
     sp = sub.add_parser("conjectures", help="check the open conjectures at small scale")
     sp.add_argument("--max-m", type=int, default=2)
@@ -368,7 +367,7 @@ def cmd_verify(args) -> int:
     # imported here: no other command runs the suite, and every start-up
     # would pay for it
     from espider import acceptance
-    ok = acceptance.run_all(skip_slow=args.skip_slow)
+    ok = acceptance.run_all()
     return 0 if ok else 1
 
 

@@ -47,7 +47,7 @@ class _Record:
         return f"{type(self).__name__}({args})"
 
 
-# The line a witness built with text=None renders when its text is first
+# The line a witness built without text renders when its text is first
 # read: a csv row reads one witness's text, json and journals read them all.
 _WITNESS_TEXT = {
     "missing_type": "missing connected partition of type {}",
@@ -58,14 +58,15 @@ _WITNESS_TEXT = {
 class Witness(_Record):
     """What a triggered criterion found: ``kind`` is "missing_type",
     "negative_coefficient" or, for the six-leg rule's "statement" fallback
-    only, "inequality".  Immutable.  ``text=None`` stands for the kind's
-    standard line, rendered from the partition (and value) on first read."""
+    only, "inequality".  Immutable.  ``text`` defaults to the kind's
+    standard line, rendered from the partition (and value) on first read;
+    only the inequality witness passes its own."""
 
     __slots__ = ("kind", "partition", "value", "_text")
     _fields = ("kind", "partition", "value", "text")
 
     def __init__(self, kind: str, partition: Partition | None = None,
-                 value: int | None = None, text: str | None = ""):
+                 value: int | None = None, text: str | None = None):
         setattr_ = object.__setattr__
         setattr_(self, "kind", kind)
         setattr_(self, "partition", partition)
@@ -122,10 +123,6 @@ class CriterionReport(_Record):
         }
 
 
-def _missing(kind_partition: Partition) -> Witness:
-    return Witness("missing_type", kind_partition, text=None)
-
-
 def mod_test(s: Spider, m: int) -> CriterionReport:
     """Residue-sum test at one modulus.
 
@@ -137,7 +134,8 @@ def mod_test(s: Spider, m: int) -> CriterionReport:
     params = {"m": m, "q": info.q, "r": info.r, "sigma": info.sigma}
     if info.has_type:
         return CriterionReport("mod", False, params=params)
-    return CriterionReport("mod", True, _missing(info.type_partition), params)
+    witness = Witness("missing_type", info.type_partition)
+    return CriterionReport("mod", True, witness, params)
 
 
 class _LegTables(dict):
@@ -344,9 +342,10 @@ def _qm_test(tab: _LegTables, i: int | None = None,
         q, r = divmod(n, a)
         if q * span > mm * (a - 1):
             dp, rp = divmod(r, q)
-            typ = Partition((a + dp + 1,) * rp + (a + dp,) * (q - rp))
+            # already descending, every part >= a >= 1
+            typ = Partition._raw((a + dp + 1,) * rp + (a + dp,) * (q - rp))
             return CriterionReport(
-                "qm", True, _missing(typ),
+                "qm", True, Witness("missing_type", typ),
                 {"i": ii, "m": mm, "a": a, "t": t, "q": q, "r": r,
                  "dprime": dp, "rprime": rp})
     return CriterionReport("qm", False,
@@ -415,7 +414,7 @@ def _four_leg_q(tab: _LegTables) -> CriterionReport:
             f"evaluates to {value} >= 0")
     return CriterionReport(
         "four_leg_q", True,
-        Witness("negative_coefficient", key, value, text=None),
+        Witness("negative_coefficient", key, value),
         params)
 
 
@@ -436,7 +435,7 @@ def two_odd_legs(s: Spider) -> CriterionReport:
         return CriterionReport("two_odd_legs", False, params=params)
     return CriterionReport(
         "two_odd_legs", True,
-        Witness("negative_coefficient", key, value, text=None),
+        Witness("negative_coefficient", key, value),
         params)
 
 

@@ -1,4 +1,5 @@
-"""Trees, spiders and small simple graphs, plus connected-partition machinery.
+"""Trees, spiders and small simple graphs, plus connected-partition machinery
+for trees and spiders.
 
 A connected partition of type lambda splits the vertex set into blocks that
 induce connected subgraphs with block sizes lambda.  For trees this is
@@ -229,7 +230,7 @@ def _adjacency(n: int, edge_set) -> list[list[int]]:
 class SimpleGraph:
     """A loopless simple graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "edges", "_adj")
+    __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges):
         edge_set = frozenset(tuple(sorted(e)) for e in edges)
@@ -238,17 +239,11 @@ class SimpleGraph:
                 raise ValueError(f"self-loop at {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range")
-        adj = _adjacency(n, edge_set)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edge_set)
-        object.__setattr__(self, "_adj", tuple(tuple(sorted(a)) for a in adj))
 
     def __setattr__(self, name, value):
         raise AttributeError("SimpleGraph is immutable")
-
-    @property
-    def adj(self):
-        return self._adj
 
     def __repr__(self):
         return f"SimpleGraph({self.n}, {sorted(self.edges)})"
@@ -401,64 +396,6 @@ def first_missing_type(g: Spider | Tree) -> Partition | None:
     return None
 
 
-def graph_has_connected_partition(g: SimpleGraph, typ: Partition,
-                                  max_n: int = 14) -> bool:
-    """Connected-partition check for small general graphs by backtracking
-    over vertex blocks (smallest free vertex seeds each block)."""
-    if typ.n != g.n:
-        raise ValueError(f"type weight {typ.n} != vertex count {g.n}")
-    if g.n > max_n:
-        raise ValueError(f"general-graph check capped at {max_n} vertices")
-    remaining = sorted(typ.parts, reverse=True)
-
-    def place(free: frozenset, counts: dict) -> bool:
-        if not free:
-            return all(c == 0 for c in counts.values())
-        v = min(free)
-        for size in sorted({s for s, c in counts.items() if c > 0}, reverse=True):
-            counts[size] -= 1
-            for block in _connected_sets(g, v, size, free):
-                if place(free - block, counts):
-                    counts[size] += 1
-                    return True
-            counts[size] += 1
-        return False
-
-    counts: dict[int, int] = {}
-    for p in remaining:
-        counts[p] = counts.get(p, 0) + 1
-    return place(frozenset(range(g.n)), counts)
-
-
-def _connected_sets(g: SimpleGraph, v: int, size: int, allowed: frozenset):
-    """All connected vertex sets of the given size containing v inside
-    `allowed`.  Plain combinations plus a connectivity scan; only ever run
-    on graphs small enough for that to be cheap."""
-    from itertools import combinations
-
-    if size == 1:
-        yield frozenset([v])
-        return
-    pool = sorted(allowed - {v})
-    for combo in combinations(pool, size - 1):
-        block = frozenset(combo) | {v}
-        if _is_connected_within(g, block):
-            yield block
-
-
-def _is_connected_within(g: SimpleGraph, block: frozenset) -> bool:
-    start = next(iter(block))
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in g.adj[x]:
-            if y in block and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(block)
-
-
 def line_graph(g: SimpleGraph | Tree) -> SimpleGraph:
     """One vertex per edge; adjacency = shared endpoint."""
     base = sorted(g.edges)
@@ -580,8 +517,9 @@ def _canonical_form(seq) -> tuple[int, ...]:
 
 
 # Largest n enumerate_trees accepts.  Its cost grows about 3 times per
-# vertex: 0.3 s, 1.0-1.2 s and 2.8-3.4 s at n = 14, 15, 16 (Python 3.11,
-# one core of a 2-core machine), so n = 18 should take about 30 s.
+# vertex: 0.3 s, 1.0-1.2 s, 2.8-3.4 s, 5.1-5.5 s and 15.3-16.2 s at
+# n = 14, 15, 16, 17, 18 (Python 3.11.7, one core of a 2-core machine;
+# 48,629 and 123,867 trees at n = 17 and 18, each timed twice).
 MAX_TREE_N = 18
 
 

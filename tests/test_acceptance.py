@@ -3,14 +3,13 @@ printing its PASS line with the summary the criterion reports."""
 
 import pytest
 
-from espider.acceptance import CRITERIA
+from espider.acceptance import CRITERIA, criterion_name
 
 
 @pytest.mark.parametrize(
-    "crit",
-    [pytest.param(c, id=f"{c.number:02d}_{c.name}",
-                  marks=[pytest.mark.slow] if c.slow else [])
-     for c in CRITERIA])
-def test_acceptance(crit):
-    summary = crit.func()
-    print(f"PASS {crit.number:2d} {crit.name}: {summary}")
+    "number, check",
+    [pytest.param(number, check, id=f"{number:02d}_{criterion_name(check)}")
+     for number, check in enumerate(CRITERIA, 1)])
+def test_acceptance(number, check):
+    summary = check()
+    print(f"PASS {number:2d} {criterion_name(check)}: {summary}")

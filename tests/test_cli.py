@@ -405,7 +405,8 @@ def test_cache_flag_and_subcommand_are_gone(capsys, tmp_path):
 
 def test_flags_without_effect_are_refused(capsys):
     for argv in (["conjectures", "--format", "json"],
-                 ["expand", "P4", "--format", "csv"]):
+                 ["expand", "P4", "--format", "csv"],
+                 ["verify", "--skip-slow"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2, argv
@@ -475,19 +476,24 @@ def test_conjectures_smoke(capsys):
 
 def test_verify_uses_registry(capsys, monkeypatch):
     calls = []
-    fake = [acceptance.Criterion(1, "ok", lambda: calls.append(1) or "fine"),
-            acceptance.Criterion(2, "slow_one", lambda: "skipped?", slow=True)]
-    monkeypatch.setattr(acceptance, "CRITERIA", fake)
-    code, out = run_cli(capsys, "verify", "--skip-slow")
-    assert code == 0 and calls == [1]
-    assert "PASS  1 ok" in out and "SKIP  2 slow_one" in out
 
-    def boom():
+    def check_ok():
+        calls.append(1)
+        return "fine"
+
+    def check_bad():
         raise AssertionError("broken")
 
-    fake.append(acceptance.Criterion(3, "bad", boom))
-    code, out = run_cli(capsys, "verify", "--skip-slow")
-    assert code == 1 and "FAIL  3 bad" in out
+    fake = [check_ok]
+    monkeypatch.setattr(acceptance, "CRITERIA", fake)
+    code, out = run_cli(capsys, "verify")
+    assert code == 0 and calls == [1]
+    assert out.startswith("PASS  1 ok (") and out.endswith("s): fine\n")
+
+    fake.append(check_bad)
+    code, out = run_cli(capsys, "verify")
+    assert code == 1 and calls == [1, 1]
+    assert "PASS  1 ok" in out and "FAIL  2 bad" in out and "broken" in out
 
 
 def test_cli_import_loads_only_what_every_call_needs():

@@ -25,7 +25,8 @@ def test_mod_test_examples():
 
 
 def test_mod_test_builds_no_partition(monkeypatch):
-    # a missing block type (m^q, r) with r < m is descending as built
+    # a missing block type (m^q, r) with r < m, and the block-size test's
+    # (a+d'+1)^{r'} (a+d')^{q-r'}, are descending as built
     spiders = [s for n in range(2, 13) for s in enumerate_spiders(n)]
     calls = []
     init = Partition.__init__
@@ -33,7 +34,8 @@ def test_mod_test_builds_no_partition(monkeypatch):
                         lambda self, *a: calls.append(a) or init(self, *a))
     fired = sum(mod_test(s, m).triggered
                 for s in spiders for m in range(2, s.n + 1))
-    assert fired and calls == []
+    qm_fired = sum(qm_test(s).triggered for s in spiders)
+    assert fired and qm_fired and calls == []
 
 
 def test_mod_scan_reports_first_m():

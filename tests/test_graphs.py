@@ -3,14 +3,12 @@ import pickle
 
 import pytest
 
-from espider.graphs import (SimpleGraph, Spider, Tree, _canonical_form,
-                            _height_is_diameter, _parents,
-                            _rooted_level_sequences, enumerate_spiders,
-                            enumerate_trees, first_missing_type,
-                            graph_has_connected_partition,
-                            has_connected_partition, line_graph, mn_tree,
-                            reduce_to_spider, spider_mod_type_info,
-                            spider_to_tree)
+from espider.graphs import (Spider, Tree, _canonical_form, _height_is_diameter,
+                            _parents, _rooted_level_sequences,
+                            enumerate_spiders, enumerate_trees,
+                            first_missing_type, has_connected_partition,
+                            line_graph, mn_tree, reduce_to_spider,
+                            spider_mod_type_info, spider_to_tree)
 from espider.partitions import Partition, partitions_of
 
 from oracles import (ahu_canonical, connected_partition_types,
@@ -176,28 +174,8 @@ def test_line_graph_examples():
     assert lg.n == 3 and len(lg.edges) == 3  # triangle
     net = line_graph(spider_to_tree(Spider([2, 2, 2])))
     assert net.n == 6 and len(net.edges) == 6
-    degs = sorted(len(net.adj[v]) for v in range(6))
+    degs = sorted(sum(v in e for e in net.edges) for v in range(6))
     assert degs == [1, 1, 1, 3, 3, 3]
-
-
-def test_complete_spiders_have_complete_line_graphs():
-    for n in range(3, 11):
-        for s in enumerate_spiders(n):
-            if first_missing_type(s) is not None:
-                continue
-            lg = line_graph(spider_to_tree(s))
-            for lam in partitions_of(lg.n):
-                assert graph_has_connected_partition(lg, lam), (s, lam)
-
-
-def test_graph_connected_partition_small_cases():
-    triangle = SimpleGraph(3, [(0, 1), (1, 2), (0, 2)])
-    assert graph_has_connected_partition(triangle, Partition([2, 1]))
-    assert graph_has_connected_partition(triangle, Partition([1, 1, 1]))
-    star = SimpleGraph(4, [(0, 1), (0, 2), (0, 3)])
-    assert not graph_has_connected_partition(star, Partition([2, 2]))
-    c4 = SimpleGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    assert graph_has_connected_partition(c4, Partition([2, 2]))
 
 
 def test_mn_tree_shape():
