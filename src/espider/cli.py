@@ -239,11 +239,25 @@ def _tally(summary: dict, row: dict):
     summary["unknown"] += row["e_positive"] == "unknown"
 
 
+def _journal_row(record, i, path) -> dict:
+    """The row of journal record i, which must read {"i": i, "row": {...}}
+    with a str first trigger and an e_positive of true, false or "unknown"."""
+    row = record.get("row") if isinstance(record, dict) else None
+    verdict = row.get("e_positive") if isinstance(row, dict) else None
+    if not (isinstance(row, dict) and type(record.get("i")) is int
+            and record["i"] == i and isinstance(row.get("first_trigger"), str)
+            and (type(verdict) is bool or verdict == "unknown")):
+        raise ValueError(f"journal {path}: record {i} is not a census row "
+                         f"of this census; wrong --resume file?")
+    return row
+
+
 def _read_journal(path, header, summary) -> tuple[int, int]:
     """Tally the rows already in a census journal into ``summary``; return
     their count and the byte length of the journal's whole lines.  The
     first record must be this census's header; a journal without it, or
-    from another census, is refused."""
+    from another census, is refused, and so is a later whole record that
+    is not a census row in its place."""
     done = whole = 0
     if not os.path.exists(path):
         return 0, 0
@@ -259,7 +273,7 @@ def _read_journal(path, header, summary) -> tuple[int, int]:
                 if record != header:
                     break
             else:
-                _tally(summary, record["row"])
+                _tally(summary, _journal_row(record, done, path))
                 done += 1
             whole += len(line)
     if os.path.getsize(path) and not whole:

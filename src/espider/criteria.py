@@ -18,7 +18,7 @@ from math import gcd, isqrt
 
 from espider.csf import (DEFAULT_TREE_ORACLE_BOUND, _four_leg_coeff,
                          coeff_three_two, three_two_key, tree_csf)
-from espider.graphs import Spider, Tree, reduce_to_spider, spider_mod_type_info
+from espider.graphs import Spider, Tree, spider_mod_type_info
 from espider.partitions import Partition
 from espider.symfunc import EExpansion
 
@@ -544,10 +544,7 @@ def tree_battery(t: Tree) -> list[CriterionReport]:
     Coefficient-based criteria do not transfer and are not run.  Each
     report is a fresh copy stamped with its vertex and spider."""
     reports: list[CriterionReport] = []
-    for v in range(t.n):
-        if t.degree(v) < 3:
-            continue
-        sp = reduce_to_spider(t, v)
+    for v, sp in t.reductions():
         stamp = {"vertex": v, "spider": str(sp)}
         reports += [CriterionReport(rep.name, rep.triggered, rep.witness,
                                     {**rep.params, **stamp})

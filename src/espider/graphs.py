@@ -107,52 +107,65 @@ def _pack(items, idx, caps, memo):
 
 
 class Tree:
-    """An unrooted tree on vertices 0..n-1 given by its edge set."""
+    """An unrooted tree on vertices 0..n-1 given by its edge set.
 
-    __slots__ = ("n", "edges", "_adj")
+    It also keeps one rooted order, which every walk over it reads:
+    ``_order`` lists the vertices from the root 0, each after its
+    ``_parent`` (0 is its own), and ``_deg`` holds the degrees.  Which
+    order is kept is not observable."""
+
+    __slots__ = ("n", "edges", "_order", "_parent", "_deg")
 
     def __init__(self, n: int, edges):
         edge_set = frozenset(tuple(sorted(e)) for e in edges)
         if n < 1:
             raise ValueError("a tree needs at least one vertex")
+        adj = [[] for _ in range(n)]
         for u, v in edge_set:
             if u == v:
                 raise ValueError(f"self-loop at {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range")
+            adj[u].append(v)
+            adj[v].append(u)
         if len(edge_set) != n - 1:
             raise ValueError(f"a tree on {n} vertices has {n - 1} edges, "
                              f"got {len(edge_set)}")
-        adj = _adjacency(n, edge_set)
-        # connectivity
-        seen = {0}
-        stack = [0]
-        while stack:
-            x = stack.pop()
+        # connectivity, by a walk from 0 that records the rooted order
+        parent = [-1] * n
+        parent[0] = 0
+        order = [0]
+        for x in order:
             for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) != n:
+                if parent[y] == -1:
+                    parent[y] = x
+                    order.append(y)
+        if len(order) != n:
             raise ValueError("edge set is not connected")
-        self._set(n, edge_set, adj)
+        self._set(n, edge_set, tuple(order), tuple(parent))
 
     @classmethod
     def _from_parents(cls, parents) -> Tree:
         # Internal fast path for a parents array with parents[v] < v for
-        # every v > 0: the tree Tree(n, [(parents[v], v) for v in 1..n-1])
-        # builds, edges inserted in the same order (so the same frozenset
-        # iteration and adjacency order), without the checks.
+        # every v > 0 (and parents[0] == 0): the tree
+        # Tree(n, [(parents[v], v) for v in 1..n-1]) builds, without the
+        # checks, keeping these parents and the order 0..n-1.
         n = len(parents)
         edge_set = frozenset([(parents[v], v) for v in range(1, n)])
         obj = object.__new__(cls)
-        obj._set(n, edge_set, _adjacency(n, edge_set))
+        obj._set(n, edge_set, range(n), tuple(parents))
         return obj
 
-    def _set(self, n, edge_set, adj):
+    def _set(self, n, edge_set, order, parent):
+        deg = [1] * n
+        deg[0] = 0
+        for v in order[1:]:
+            deg[parent[v]] += 1
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edge_set)
-        object.__setattr__(self, "_adj", tuple(tuple(a) for a in adj))
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_parent", parent)
+        object.__setattr__(self, "_deg", tuple(deg))
 
     def __setattr__(self, name, value):
         raise AttributeError("Tree is immutable")
@@ -161,12 +174,8 @@ class Tree:
         # pickle and copy rebuild through the constructor, not __setattr__
         return Tree, (self.n, sorted(self.edges))
 
-    @property
-    def adj(self):
-        return self._adj
-
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return self._deg[v]
 
     def __eq__(self, other):
         return (isinstance(other, Tree) and self.n == other.n
@@ -203,28 +212,30 @@ class Tree:
             edges.append((int(u), int(v)))
         return cls(n, edges)
 
+    def reductions(self) -> list[tuple[int, Spider]]:
+        """(v, the spider this tree reduces to at v) for every vertex v of
+        degree >= 3, in vertex order.  The legs at v are the sizes of the
+        subtrees hanging off v: one reverse pass of subtree sizes adds each
+        vertex's size to its parent's legs and n minus it to its own."""
+        n, parent = self.n, self._parent
+        size = [1] * n
+        legs = [[] for _ in range(n)]
+        for v in reversed(self._order[1:]):
+            p = parent[v]
+            size[p] += size[v]
+            legs[p].append(size[v])
+            legs[v].append(n - size[v])
+        return [(v, Spider(legs[v])) for v in range(n) if self._deg[v] >= 3]
+
     def as_spider(self) -> Spider | None:
         """The Spider this tree is, or None.
 
         A path on k+1 >= 2 vertices is reported as the one-leg spider S(k).
         """
-        if self.n == 1:
+        hubs = self.reductions()
+        if self.n == 1 or len(hubs) > 1:
             return None
-        centers = [v for v in range(self.n) if self.degree(v) >= 3]
-        if len(centers) > 1:
-            return None
-        if centers:
-            return reduce_to_spider(self, centers[0])
-        return Spider([self.n - 1])  # a path
-
-
-def _adjacency(n: int, edge_set) -> list[list[int]]:
-    """Neighbour lists in the iteration order of the edge set."""
-    adj = [[] for _ in range(n)]
-    for u, v in edge_set:
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
+        return hubs[0][1] if hubs else Spider([self.n - 1])  # or a path
 
 
 class SimpleGraph:
@@ -304,20 +315,7 @@ def reduce_to_spider(t: Tree, v: int) -> Spider:
     """Spider whose legs are the sizes of the subtrees hanging off v."""
     if t.degree(v) < 3:
         raise ValueError(f"vertex {v} has degree {t.degree(v)} < 3")
-    legs = []
-    for w in t.adj[v]:
-        seen = {v, w}
-        stack = [w]
-        size = 1
-        while stack:
-            x = stack.pop()
-            for y in t.adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    size += 1
-                    stack.append(y)
-        legs.append(size)
-    return Spider(legs)
+    return dict(t.reductions())[v]
 
 
 def has_connected_partition(t: Tree, typ: Partition) -> bool:
@@ -337,35 +335,30 @@ def has_connected_partition(t: Tree, typ: Partition) -> bool:
     maxpart = typ.parts[0]
     zero = (0,) * len(values)
 
-    order, parent = _dfs_order(t, 0)
-    states: list[dict | None] = [None] * t.n
-    for v in reversed(order):
-        st = {(1, zero)}
-        for w in t.adj[v]:
-            if w == parent[v]:
-                continue
-            child = states[w]
-            states[w] = None
-            new = set()
-            for (rp, up) in st:
-                for (rc, uc) in child:
-                    merged = tuple(a + b for a, b in zip(up, uc))
-                    if any(a > b for a, b in zip(merged, need)):
-                        continue
-                    total = rp + rc
-                    if total <= maxpart:
-                        new.add((total, merged))
-                    i = index.get(rc)
-                    if i is not None and merged[i] < need[i]:
-                        closed = merged[:i] + (merged[i] + 1,) + merged[i + 1:]
-                        new.add((rp, closed))
-            st = new
-            if not st:
-                return False
-        states[v] = st
+    # each vertex starts as a one-vertex open component; in reverse rooted
+    # order its state is complete and merges into its parent's
+    parent = t._parent
+    states: list[set | None] = [{(1, zero)} for _ in range(t.n)]
+    for v in reversed(t._order[1:]):
+        child, states[v] = states[v], None
+        new = set()
+        for (rp, up) in states[parent[v]]:
+            for (rc, uc) in child:
+                merged = tuple(a + b for a, b in zip(up, uc))
+                if any(a > b for a, b in zip(merged, need)):
+                    continue
+                total = rp + rc
+                if total <= maxpart:
+                    new.add((total, merged))
+                i = index.get(rc)
+                if i is not None and merged[i] < need[i]:
+                    closed = merged[:i] + (merged[i] + 1,) + merged[i + 1:]
+                    new.add((rp, closed))
+        if not new:
+            return False
+        states[parent[v]] = new
 
-    root_states = states[order[0]]
-    for (r, u) in root_states:
+    for (r, u) in states[0]:
         i = index.get(r)
         if i is None:
             continue
@@ -373,18 +366,6 @@ def has_connected_partition(t: Tree, typ: Partition) -> bool:
         if final == need:
             return True
     return False
-
-
-def _dfs_order(t: Tree, root: int):
-    parent = [-1] * t.n
-    order = [root]
-    parent[root] = root
-    for v in order:
-        for w in t.adj[v]:
-            if parent[w] == -1 and w != root:
-                parent[w] = v
-                order.append(w)
-    return order, parent
 
 
 def first_missing_type(g: Spider | Tree) -> Partition | None:

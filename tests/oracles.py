@@ -6,7 +6,7 @@ recurrence, partition streaming via an in-place successor rule, edge-subset
 censuses by plain mask iteration, proper colorings by direct assignment,
 symmetric-function identities by numeric evaluation at integer points, and
 labeled-tree enumeration through sequence decoding with a centroid-rooted
-canonical form.
+canonical form, and the pieces left when a vertex is deleted by union-find.
 """
 
 from functools import lru_cache
@@ -241,6 +241,28 @@ def ahu_canonical(n, edges):
         return "(" + "".join(subs) + ")"
 
     return min(encode(c, -1) for c in centroids)
+
+
+def component_sizes_without(n, edges, v):
+    """Sizes of the components of the graph minus vertex v, largest first,
+    by union-find over the edges that avoid v."""
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for a, b in edges:
+        if v not in (a, b):
+            root[find(a)] = find(b)
+    sizes = {}
+    for x in range(n):
+        if x != v:
+            r = find(x)
+            sizes[r] = sizes.get(r, 0) + 1
+    return sorted(sizes.values(), reverse=True)
 
 
 def free_trees_unpruned(n):

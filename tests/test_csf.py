@@ -127,7 +127,7 @@ def test_triple_deletion_law():
         t = rng.choice(list(enumerate_trees(n)))
         hubs = [v for v in range(n) if t.degree(v) >= 2]
         v = rng.choice(hubs)
-        nb = sorted(t.adj[v])
+        nb = sorted(w for e in t.edges if v in e for w in e if w != v)
         v1, v2 = nb[0], nb[1]
         if tuple(sorted((v1, v2))) in t.edges:
             continue

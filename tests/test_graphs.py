@@ -1,5 +1,6 @@
 import copy
 import pickle
+import random
 
 import pytest
 
@@ -11,8 +12,9 @@ from espider.graphs import (Spider, Tree, _canonical_form, _height_is_diameter,
                             spider_mod_type_info, spider_to_tree)
 from espider.partitions import Partition, partitions_of
 
-from oracles import (ahu_canonical, connected_partition_types,
-                     free_tree_count_by_prufer, free_trees_unpruned)
+from oracles import (ahu_canonical, component_sizes_without,
+                     connected_partition_types, free_tree_count_by_prufer,
+                     free_trees_unpruned)
 
 
 def test_spider_basics():
@@ -152,6 +154,43 @@ def test_subtree_reduction_preserves_missing_types():
                         assert sp.has_connected_partition(lam), (t, v, lam)
 
 
+def _relabelled(t, rng):
+    """t under a random permutation of its vertices, through the checked
+    constructor, so its walk starts elsewhere in the tree."""
+    perm = list(range(t.n))
+    rng.shuffle(perm)
+    return perm, Tree(t.n, [(perm[u], perm[v]) for u, v in t.edges])
+
+
+def test_reductions_match_union_find():
+    # every reduced spider of every tree with n <= 12, and of a relabelling
+    # of it, against the pieces union-find leaves when v is deleted
+    rng = random.Random(15)
+    for n in range(1, 13):
+        for t in enumerate_trees(n):
+            perm, u = _relabelled(t, rng)
+            for tree in (t, u):
+                edges = sorted(tree.edges)
+                hubs = [v for v in range(n)
+                        if sum(v in e for e in edges) >= 3]
+                assert [(v, list(sp.legs.parts))
+                        for v, sp in tree.reductions()] == \
+                    [(v, component_sizes_without(n, edges, v))
+                     for v in hubs], tree
+            assert sorted((perm[v], sp) for v, sp in t.reductions()) == \
+                u.reductions(), (t, perm)
+
+
+def test_connected_partitions_survive_relabelling():
+    rng = random.Random(9)
+    for n in range(1, 10):
+        for t in enumerate_trees(n):
+            _, u = _relabelled(t, rng)
+            for lam in partitions_of(n):
+                assert t.has_connected_partition(lam) == \
+                    u.has_connected_partition(lam), (t, u, lam)
+
+
 def test_leg_combining_preserves_types():
     for n in range(3, 13):
         for s in enumerate_spiders(n):
@@ -267,16 +306,26 @@ def test_enumerate_trees_deterministic():
 
 
 def test_enumerated_trees_match_the_checked_constructor():
-    # the representatives are built without the constructor's checks; each
+    # the representatives are built without the constructor's checks, and
+    # keep the enumerator's order in place of the constructor's walk; each
     # must be the tree the checked constructor builds from its edges, with
-    # the same adjacency order when the edges come in the order the
-    # enumeration inserts them, (parent, v) by increasing v
+    # the same degrees and reductions, and its order must put every vertex
+    # after its parent
     for n in range(1, 11):
         for t in enumerate_trees(n):
-            assert t == Tree(n, sorted(t.edges))
-            checked = Tree(n, sorted(t.edges, key=lambda e: e[1]))
-            assert list(t.edges) == list(checked.edges), t
-            assert t.adj == checked.adj, t
+            checked = Tree(n, sorted(t.edges))
+            assert t == checked
+            assert [t.degree(v) for v in range(n)] == \
+                [checked.degree(v) for v in range(n)], t
+            assert t.reductions() == checked.reductions(), t
+            for tree in (t, checked):
+                assert sorted(tree._order) == list(range(n))
+                assert tree._order[0] == tree._parent[tree._order[0]]
+                place = {v: i for i, v in enumerate(tree._order)}
+                for v in tree._order[1:]:
+                    p = tree._parent[v]
+                    assert place[p] < place[v], tree
+                    assert tuple(sorted((p, v))) in tree.edges, tree
 
 
 def test_as_spider_routing():
