@@ -8,14 +8,15 @@ component sizes of (V, A).
 Two algorithms compute it, and ``subset_type_census`` picks between them
 from the edges alone:
 
-* Forests use a rooted dynamic program.  Each vertex keeps a map from
-  state keys to signed counts for the subsets of its subtree's edges.  A
-  key holds the size of the open block, the one holding the vertex, in its
-  lowest field and the packed multiset of closed blocks above it, so two
-  states combine by adding keys.  Each child merges in two ways: keep the
-  edge (the open blocks join, the sign flips) or cut it (the child's open
-  block closes).  Components multiply at the end.  The cost grows with the
-  number of block-size types, not with 2^|E|.
+* Forests use a rooted dynamic program, ``rooted_census``, per component.
+  Each vertex keeps a map from state keys to signed counts for the subsets
+  of its subtree's edges.  A key holds the size of the open block, the one
+  holding the vertex, in its lowest field and the packed multiset of
+  closed blocks above it, so two states combine by adding keys.  Each
+  child merges in two ways: keep the edge (the open blocks join, the sign
+  flips) or cut it (the child's open block closes).  Components multiply
+  at the end.  The cost grows with the number of block-size types, not
+  with 2^|E|.  Unsigned and pruned, it is ``graphs.has_connected_partition``.
 
 * Graphs with a cycle (line graphs, for instance) use an include/exclude
   walk over all 2^|E| subsets.  It shares union-find work across subsets
@@ -77,31 +78,61 @@ def _forest_census(n, edges) -> dict[int, int]:
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    seen = [False] * n
+    parent = [-1] * n
     total = {0: 1}
     for root in range(n):
-        if seen[root]:
+        if parent[root] != -1:
             continue
-        seen[root] = True
+        parent[root] = root
         order = [root]
         for v in order:  # breadth-first: every parent precedes its children
             for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
+                if parent[w] == -1:
+                    parent[w] = v
                     order.append(w)
-        states = {}
-        for v in reversed(order):
-            state = {1: 1}
-            for w in adj[v]:
-                child = states.pop(w, None)
-                if child is not None:
-                    state = _join(state, child)
-            states[v] = state
-        component = {k >> FIELD_BITS: c for k, c in _close(states[root]).items()}
         product = {}
-        add_product(product, total, component)
+        add_product(product, total, rooted_census(order, parent))
         total = product
     return total
+
+
+def rooted_census(order, parent, sign=-1, keep=None) -> dict[int, int]:
+    """{packed type: sum of sign^|A|} over the edge subsets A of a tree
+    whose vertices ``order`` lists root first, each after ``parent[v]``.
+
+    Sign +1 counts the subsets of each type, so none cancel.  ``keep``, if
+    given, must pass every state key that can still grow into a wanted
+    type; the walk drops the others after each merge."""
+    leaf = {1: 1}  # one vertex: an open block of size 1, nothing closed
+    states = {}
+    for v in reversed(order[1:]):
+        p = parent[v]
+        states[p] = _join(states.get(p, leaf), states.pop(v, leaf), sign, keep)
+        if not states[p]:
+            return {}  # no subset survives, whatever the rest of the tree
+    root = _close(states.get(order[0], leaf))
+    return {key >> FIELD_BITS: c for key, c in root.items()}
+
+
+def fits_in(parts):
+    """A ``keep`` test for the walk: it passes a state whose open block is
+    no larger than the largest of ``parts`` (weakly decreasing) and whose
+    closed blocks are a sub-multiset of them."""
+    bounds = [parts[0]] + [0] * sum(parts)  # open size, count of each size
+    for p in parts:
+        bounds[p] += 1
+    # With a guard bit atop each bound, a key fits when taking it away clears
+    # no guard bit; exact for bounds below 128, as a merge at most doubles a
+    # field plus one.  A larger bound (n > 127) gets no guard and no check.
+    guard = 1 << FIELD_BITS - 1
+    ceiling = guards = 0
+    for f, bound in enumerate(bounds):
+        if bound < guard:
+            ceiling |= (bound | guard) << FIELD_BITS * f
+            guards |= guard << FIELD_BITS * f
+        else:
+            ceiling |= MAX_PACKED_WEIGHT << FIELD_BITS * f
+    return lambda key: (ceiling - key) & guards == guards
 
 
 def _close(state) -> dict[int, int]:
@@ -114,11 +145,13 @@ def _close(state) -> dict[int, int]:
     return out
 
 
-def _join(state, child):
+def _join(state, child, sign, keep):
     """Merge a child's map into its parent's across the edge between them."""
     out = {}
-    add_product(out, state, child, -1)  # keep the edge
+    add_product(out, state, child, sign)  # keep the edge
     add_product(out, state, _close(child))  # cut it
+    if keep is not None:
+        out = {key: c for key, c in out.items() if keep(key)}
     return out
 
 

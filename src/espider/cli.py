@@ -151,10 +151,13 @@ def cmd_analyze(args) -> int:
 def cmd_expand(args) -> int:
     bound = _check_bound(args.oracle_bound)
     g, _ = _parse_target(args.target)
-    X = (csf_oracle if args.oracle else tree_csf)(g, max_n=bound)
-    if args.coeff:
+    if args.coeff is not None:
         key = Partition.parse(args.coeff if args.coeff.startswith("[")
                               else "[" + args.coeff + "]")
+        if key.n != g.n:
+            raise ValueError(f"--coeff {args.coeff!r} weighs {key.n}, not {g.n}")
+    X = (csf_oracle if args.oracle else tree_csf)(g, max_n=bound)
+    if args.coeff is not None:
         print(X.coefficient(key))
         return 0
     if args.format == "json":
@@ -304,7 +307,7 @@ def cmd_census(args) -> int:
     summary = dict.fromkeys(("graphs", "criteria_flagged", "expansion_negative",
                              "e_positive", "unknown"), 0)
     done, journal = 0, None
-    if args.resume:
+    if args.resume is not None:  # an empty path fails to open: exit 2
         header = {"census": {"kind": args.kind, "range": [lo, hi],
                              "legs": legs, "mode": args.mode,
                              "oracle_bound": bound}}

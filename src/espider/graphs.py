@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from espider.partitions import Partition, partitions_of
+from espider._subsets import fits_in, rooted_census
+from espider.partitions import Partition, pack, partitions_of
 
 
 class Spider:
@@ -321,51 +322,13 @@ def reduce_to_spider(t: Tree, v: int) -> Spider:
 def has_connected_partition(t: Tree, typ: Partition) -> bool:
     """Does some edge-subset deletion split t into components of sizes typ?
 
-    Bottom-up over the rooted tree: the state at a vertex is the achievable
-    set of (size of the still-open component at the root, counts of already
-    completed block sizes), pruned against typ.  For each child edge we
-    either keep it (sizes merge) or cut it (the child component must close
-    as a needed block size).
-    """
+    The subset census's rooted walk counts t's edge subsets by type,
+    unsigned and pruned to the states that can still grow into typ."""
     if typ.n != t.n:
         raise ValueError(f"type weight {typ.n} != vertex count {t.n}")
-    values = sorted({p for p in typ.parts})
-    index = {s: i for i, s in enumerate(values)}
-    need = tuple(typ.parts.count(s) for s in values)
-    maxpart = typ.parts[0]
-    zero = (0,) * len(values)
-
-    # each vertex starts as a one-vertex open component; in reverse rooted
-    # order its state is complete and merges into its parent's
-    parent = t._parent
-    states: list[set | None] = [{(1, zero)} for _ in range(t.n)]
-    for v in reversed(t._order[1:]):
-        child, states[v] = states[v], None
-        new = set()
-        for (rp, up) in states[parent[v]]:
-            for (rc, uc) in child:
-                merged = tuple(a + b for a, b in zip(up, uc))
-                if any(a > b for a, b in zip(merged, need)):
-                    continue
-                total = rp + rc
-                if total <= maxpart:
-                    new.add((total, merged))
-                i = index.get(rc)
-                if i is not None and merged[i] < need[i]:
-                    closed = merged[:i] + (merged[i] + 1,) + merged[i + 1:]
-                    new.add((rp, closed))
-        if not new:
-            return False
-        states[parent[v]] = new
-
-    for (r, u) in states[0]:
-        i = index.get(r)
-        if i is None:
-            continue
-        final = u[:i] + (u[i] + 1,) + u[i + 1:]
-        if final == need:
-            return True
-    return False
+    need = pack(typ.parts)  # refuses more than MAX_PACKED_WEIGHT vertices
+    counts = rooted_census(t._order, t._parent, 1, fits_in(typ.parts))
+    return bool(counts.get(need))
 
 
 def first_missing_type(g: Spider | Tree) -> Partition | None:

@@ -60,9 +60,10 @@ def successor_partitions(n):
             rem -= take
 
 
-def naive_subset_census(n, edges):
-    """Signed subset counts per component-size type, one fresh union-find
-    per mask."""
+def naive_subset_census(n, edges, sign=-1):
+    """Subset counts per component-size type, each subset A counted as
+    sign^|A| (signed by default, plain counts with sign 1), one fresh
+    union-find per mask."""
     acc = {}
     m = len(edges)
     for mask in range(1 << m):
@@ -85,7 +86,7 @@ def naive_subset_census(n, edges):
             r = find(v)
             sizes[r] = sizes.get(r, 0) + 1
         key = tuple(sorted(sizes.values(), reverse=True))
-        acc[key] = acc.get(key, 0) + (-1) ** bits
+        acc[key] = acc.get(key, 0) + sign ** bits
     return {k: v for k, v in acc.items() if v}
 
 

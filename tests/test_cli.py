@@ -82,6 +82,16 @@ def test_expand_and_coeff(capsys):
     assert code == 0 and "e[" in out
 
 
+def test_empty_or_misweighted_flag_values_exit_2(capsys):
+    # an empty value is a value given, not a flag left out, and a
+    # coefficient key must weigh the graph's vertex count
+    for argv in (["expand", "P5", "--coeff", ""],
+                 ["expand", "P5", "--coeff", "9"],
+                 ["census", "spiders", "4..5", "--resume", ""]):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+
+
 def test_environment_sets_no_option(capsys, monkeypatch):
     # flags are the only configuration: variables named like options,
     # malformed ones included, change nothing

@@ -85,6 +85,20 @@ def test_connected_partition_vs_subset_oracle_full():
                     (t, lam)
 
 
+def test_connected_partitions_of_large_trees():
+    # 200 vertices: the count of 1s outgrows a packed field's guard bit;
+    # a tree past the packed-key cap of 255 vertices is refused
+    path = Tree(200, [(v, v + 1) for v in range(199)])
+    for parts in ([1] * 200, [2] + [1] * 198, [3] * 66 + [2]):
+        assert has_connected_partition(path, Partition(parts)), parts
+    star = spider_to_tree(Spider([1] * 199))  # one block can hold the hub
+    assert has_connected_partition(star, Partition([3] + [1] * 197))
+    assert not has_connected_partition(star, Partition([2, 2] + [1] * 196))
+    with pytest.raises(ValueError):
+        has_connected_partition(Tree(256, [(v, v + 1) for v in range(255)]),
+                                Partition([256]))
+
+
 def test_trivial_types_always_present():
     for n in range(2, 9):
         for t in enumerate_trees(n):

@@ -7,7 +7,7 @@ from espider._subsets import is_forest
 from espider.graphs import enumerate_trees
 from espider.partitions import MAX_PACKED_WEIGHT, unpack
 
-from oracles import naive_subset_census
+from oracles import connected_partition_types, naive_subset_census
 
 
 def subset_type_census(n, edges):
@@ -35,6 +35,19 @@ def test_trees_match_naive_oracle():
         for t in enumerate_trees(n):
             edges = sorted(t.edges)
             assert subset_type_census(n, edges) == naive_subset_census(n, edges)
+
+
+def test_unsigned_walk_counts_subsets_by_type():
+    # sign +1: the plain count of edge subsets per type, whose types are the
+    # tree's connected-partition types and whose counts add up to 2^|E|
+    for n in range(1, 10):
+        for t in enumerate_trees(n):
+            edges = sorted(t.edges)
+            counts = {unpack(k): c for k, c in
+                      _subsets.rooted_census(t._order, t._parent, 1).items()}
+            assert counts == naive_subset_census(n, edges, sign=1), t
+            assert set(counts) == connected_partition_types(n, edges), t
+            assert sum(counts.values()) == 2 ** (n - 1), t
 
 
 graph_cases = st.integers(3, 7).flatmap(
