@@ -5,23 +5,23 @@ For a graph on n vertices with edge list E, the census sums the sign
 (-1)^|A| over every subset A of E, keyed by the partition of n given by the
 component sizes of (V, A).
 
-Two algorithms compute it, and ``subset_type_census`` picks between them
-from the edges alone:
+Two algorithms compute it, and the caller picks by what it holds:
 
-* Forests use a rooted dynamic program, ``rooted_census``, per component.
+* A tree with a rooted order takes a dynamic program, ``rooted_census``.
   Each vertex keeps a map from state keys to signed counts for the subsets
   of its subtree's edges.  A key holds the size of the open block, the one
   holding the vertex, in its lowest field and the packed multiset of
   closed blocks above it, so two states combine by adding keys.  Each
-  child merges in two ways: keep the edge (the open blocks join, the sign
-  flips) or cut it (the child's open block closes).  Components multiply
-  at the end.  The cost grows with the number of block-size types, not
-  with 2^|E|.  Unsigned and pruned, it is ``graphs.has_connected_partition``.
+  child merges in across its edge, kept (the open blocks join, the sign
+  flips) or cut (the child's open block closes), in one product.  The
+  cost grows with the number of block-size types, not with 2^|E|.
+  Unsigned and pruned, it is ``graphs.has_connected_partition``.
 
-* Graphs with a cycle (line graphs, for instance) use an include/exclude
-  walk over all 2^|E| subsets.  It shares union-find work across subsets
-  with a common prefix; undo is a single parent-link revert because unions
-  are by size with no path compression.
+* Any other edge list (line graphs, forests, a repeated edge) takes
+  ``subset_type_census``: an include/exclude walk over all 2^|E| subsets.
+  It shares union-find work across subsets with a common prefix; undo is
+  a single parent-link revert because unions are by size with no path
+  compression.
 
 Both keep a multiset of block sizes as its packed partition key
 (``partitions.pack``), so adding a block, or merging two multisets, is one
@@ -37,24 +37,6 @@ from espider.symfunc import add_product
 HAVE_COMPILED = False
 
 
-def is_forest(n: int, edges) -> bool:
-    """True when the edges close no cycle (a repeated edge is a cycle)."""
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
-
-
 def subset_type_census(n: int, edges: list[tuple[int, int]]) -> dict[int, int]:
     """Signed count of edge subsets per component-size partition.
 
@@ -66,34 +48,8 @@ def subset_type_census(n: int, edges: list[tuple[int, int]]) -> dict[int, int]:
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise ValueError(f"bad edge ({u}, {v})")
-    if is_forest(n, edges):
-        acc = _forest_census(n, edges)
-    else:
-        acc = _walk_census(n, edges)
+    acc = _walk_census(n, edges)
     return {key: c for key, c in acc.items() if c}
-
-
-def _forest_census(n, edges) -> dict[int, int]:
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    parent = [-1] * n
-    total = {0: 1}
-    for root in range(n):
-        if parent[root] != -1:
-            continue
-        parent[root] = root
-        order = [root]
-        for v in order:  # breadth-first: every parent precedes its children
-            for w in adj[v]:
-                if parent[w] == -1:
-                    parent[w] = v
-                    order.append(w)
-        product = {}
-        add_product(product, total, rooted_census(order, parent))
-        total = product
-    return total
 
 
 def rooted_census(order, parent, sign=-1, keep=None) -> dict[int, int]:
@@ -147,9 +103,13 @@ def _close(state) -> dict[int, int]:
 
 def _join(state, child, sign, keep):
     """Merge a child's map into its parent's across the edge between them."""
+    # Keep the edge (open blocks join, times sign) or cut it (the child's
+    # open block closes): only cut keys have open size 0, so none collide.
+    merged = _close(child)
+    for key, c in child.items():
+        merged[key] = sign * c
     out = {}
-    add_product(out, state, child, sign)  # keep the edge
-    add_product(out, state, _close(child))  # cut it
+    add_product(out, state, merged)
     if keep is not None:
         out = {key: c for key, c in out.items() if keep(key)}
     return out

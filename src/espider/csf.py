@@ -4,9 +4,10 @@ Two independent routes to the e-basis expansion of X_G:
 
 * ``csf_oracle`` tallies signed edge-subset counts per component-size
   partition (Stanley's power-sum expansion) and converts the result to the
-  elementary basis.  Forests take a rooted dynamic program, other graphs a
-  walk over every edge subset; both are exact, and everything else is
-  checked against this route.
+  elementary basis.  Spiders and trees take a rooted dynamic program over
+  the tree's own rooted order, a ``SimpleGraph`` a walk over every edge
+  subset; both are exact, and everything else is checked against this
+  route.
 
 * ``spider_csf`` unhooks the shortest leg of a spider one edge at a time
   by the Orellana-Scott identity (Discrete Math. 320 (2014))
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from espider._subsets import is_forest, subset_type_census
+from espider._subsets import rooted_census, subset_type_census
 from espider.graphs import (Spider, SimpleGraph, Tree, spider_mod_type_info,
                             spider_to_tree)
 from espider.partitions import Partition, multinomial, pack
@@ -48,32 +49,33 @@ class OracleBoundError(ValueError):
     """Raised when a graph exceeds the configured oracle size bound."""
 
 
-def _as_graph(g) -> tuple[int, list[tuple[int, int]]]:
-    if isinstance(g, Spider):
-        g = spider_to_tree(g)
-    if isinstance(g, (Tree, SimpleGraph)):
-        return g.n, sorted(g.edges)
-    raise TypeError(f"cannot interpret {type(g).__name__} as a graph")
-
-
 def csf_oracle(g, max_n: int | None = None) -> EExpansion:
     """Exact e-expansion of X_g from its edge-subset census.
 
-    ``max_n`` overrides the default size bound (trees/forests 20, general
-    graphs 14) up to the hard caps.
+    A spider or tree takes the rooted walk over its own rooted order, a
+    ``SimpleGraph`` the walk over every edge subset.  ``max_n`` overrides
+    the default size bound (trees and spiders 20, a ``SimpleGraph`` 14) up
+    to the hard caps.
     """
-    n, edges = _as_graph(g)
-    forest = is_forest(n, edges)
-    bound = max_n if max_n is not None else (
-        DEFAULT_TREE_ORACLE_BOUND if forest else DEFAULT_GRAPH_ORACLE_BOUND)
-    bound = min(bound, HARD_CAP_VERTICES)
-    if n > bound:
+    if isinstance(g, Spider):
+        g = spider_to_tree(g)
+    if not isinstance(g, (Tree, SimpleGraph)):
+        raise TypeError(f"cannot interpret {type(g).__name__} as a graph")
+    tree = isinstance(g, Tree)
+    if max_n is None:
+        max_n = DEFAULT_TREE_ORACLE_BOUND if tree else DEFAULT_GRAPH_ORACLE_BOUND
+    bound = min(max_n, HARD_CAP_VERTICES)
+    if g.n > bound:
         raise OracleBoundError(
-            f"{n} vertices exceeds the oracle bound {bound}")
-    if len(edges) > HARD_CAP_EDGES:
+            f"{g.n} vertices exceeds the oracle bound {bound}")
+    if len(g.edges) > HARD_CAP_EDGES:
         raise OracleBoundError(
-            f"{len(edges)} edges exceeds the hard cap {HARD_CAP_EDGES}")
-    return PExpansion.from_packed(n, subset_type_census(n, edges)).to_e()
+            f"{len(g.edges)} edges exceeds the hard cap {HARD_CAP_EDGES}")
+    if tree:
+        census = rooted_census(g._order, g._parent)
+    else:
+        census = subset_type_census(g.n, sorted(g.edges))
+    return PExpansion.from_packed(g.n, census).to_e()
 
 
 def path_e_coefficient(n: int, lam: Partition) -> int:

@@ -118,9 +118,12 @@ class Tree:
     __slots__ = ("n", "edges", "_order", "_parent", "_deg")
 
     def __init__(self, n: int, edges):
-        edge_set = frozenset(tuple(sorted(e)) for e in edges)
+        pairs = [tuple(sorted(e)) for e in edges]
+        edge_set = frozenset(pairs)
         if n < 1:
             raise ValueError("a tree needs at least one vertex")
+        if len(edge_set) != len(pairs):
+            raise ValueError("an edge is given twice")
         adj = [[] for _ in range(n)]
         for u, v in edge_set:
             if u == v:

@@ -57,6 +57,12 @@ def test_analyze_tree_input_errors(capsys, tmp_path):
         code = cli.main(["analyze", str(f), "--mode", "with_expansion"])
         captured = capsys.readouterr()
         assert code == 2 and "exceeds" in captured.err and captured.out == ""
+    # an edge listed twice, once in each orientation, is not a tree
+    f = tmp_path / "repeated.txt"
+    f.write_text("3\n0 1\n1 0\n1 2\n")
+    code = cli.main(["analyze", str(f)])
+    captured = capsys.readouterr()
+    assert code == 2 and "twice" in captured.err and captured.out == ""
 
 
 def test_analyze_json_schema(capsys):

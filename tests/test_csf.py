@@ -42,6 +42,11 @@ def test_oracle_bound_enforced():
     assert csf_oracle(path_tree(21), max_n=21).degree == 21
     with pytest.raises(OracleBoundError):
         csf_oracle(SimpleGraph(15, [(i, i + 1) for i in range(14)] + [(0, 14)]))
+    # a forest given as a SimpleGraph takes the general-graph bound, 14
+    two_paths = SimpleGraph(15, [(i, i + 1) for i in range(14) if i != 7])
+    with pytest.raises(OracleBoundError):
+        csf_oracle(two_paths)
+    assert csf_oracle(two_paths, max_n=15) == path_csf(8) * path_csf(7)
 
 
 def test_path_coefficient_examples():

@@ -45,6 +45,8 @@ def test_tree_validation():
         Tree(2, [(0, 0)])
     with pytest.raises(ValueError):
         Tree(2, [(0, 5)])
+    with pytest.raises(ValueError):
+        Tree(3, [(0, 1), (1, 0), (1, 2)])  # an edge given twice
 
 
 def test_pickle_and_deepcopy_round_trip():
