@@ -434,6 +434,9 @@ def cmd_conjectures(args) -> int:
 
     for s in epos:
         lg = line_graph(spider_to_tree(s))
+        if s.d <= 2:
+            # the line graph of a path is a path: expand it as a tree
+            lg = Tree(lg.n, lg.edges)
         try:
             X = csf_oracle(lg, max_n=bound)
         except OracleBoundError:

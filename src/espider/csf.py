@@ -68,12 +68,12 @@ def csf_oracle(g, max_n: int | None = None) -> EExpansion:
     if g.n > bound:
         raise OracleBoundError(
             f"{g.n} vertices exceeds the oracle bound {bound}")
-    if len(g.edges) > HARD_CAP_EDGES:
-        raise OracleBoundError(
-            f"{len(g.edges)} edges exceeds the hard cap {HARD_CAP_EDGES}")
     if tree:
         census = rooted_census(g._order, g._parent)
     else:
+        if len(g.edges) > HARD_CAP_EDGES:
+            raise OracleBoundError(
+                f"{len(g.edges)} edges exceeds the hard cap {HARD_CAP_EDGES}")
         census = subset_type_census(g.n, sorted(g.edges))
     return PExpansion.from_packed(g.n, census).to_e()
 

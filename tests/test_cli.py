@@ -510,6 +510,15 @@ def test_conjectures_smoke(capsys):
     assert "doubled_leg_family: S[6,2,1]: ok" in out
 
 
+def test_conjectures_expand_path_line_graphs_under_the_tree_bound(capsys):
+    # L(S[15]) and L(S[8,7]) are 15-vertex paths: past the SimpleGraph
+    # bound of 14, inside the tree bound of 20
+    code, out = run_cli(capsys, "conjectures", "--max-m", "1", "--max-n", "16")
+    assert code == 0
+    assert "line_graph: S[15] -> L(S[15]): ok" in out
+    assert "line_graph: S[8,7] -> L(S[8,7]): ok" in out
+
+
 def test_verify_uses_registry(capsys, monkeypatch):
     calls = []
 
