@@ -20,9 +20,11 @@ Two independent routes to the e-basis expansion of X_G:
   independent check).  Memoized in process, and each spider starts from
   its nearest memoized predecessor along the steps, so a census in
   reverse-lexicographic order pays two products per spider.  A spider
-  census drops each spider of its top size from the memo after its last
-  reader; library calls memoize every spider.  Comfortably reaches
-  spiders far beyond oracle scale.
+  census memoizes each spider, of any size, with the number of reads its
+  later steps will make of it, and drops it after the last (``_memoize``):
+  at 4..24 with expansion it peaks at 102 MB where keeping every spider
+  below the top size took 193 MB.  Library calls memoize every spider.
+  Comfortably reaches spiders far beyond oracle scale.
 
 Closed-form coefficient extractors for special keys ((m^q), (2^{n/2}),
 (3, 2^k), and the four-leg (m+r, m^q)) live here too.
@@ -126,17 +128,30 @@ def _path(n: int) -> EExpansion:
 
 # Spider expansions by sorted leg tuple, process-wide like ``_path``:
 # entries are immutable and recomputation is idempotent, so each worker
-# process simply keeps its own.  Every spider is kept, except that a
-# spider census (see ``_census_top``) keeps a spider of its top size only
-# until its last reader has been computed.
+# process simply keeps its own.  Outside a spider census every spider is
+# kept.  In a census each entry carries in ``_reads_left`` the reads the
+# census's later steps will make of it (see ``_memoize``); every read
+# takes one off, and the entry goes when none is left.
 _spiders: dict[tuple[int, ...], EExpansion] = {}
+_reads_left: dict[tuple[int, ...], int] = {}
 
-# The running spider census: the largest size it expands (None outside a
-# census) and its --legs restriction, and for each memoized top-size
-# spider the number of its readers not yet computed.
-_top_n: int | None = None
-_top_legs: int | None = None
-_readers: dict[tuple[int, ...], int] = {}
+
+class _Census:
+    """The running spider census: the largest size it expands, its --legs
+    restriction, its first expansion (n, legs) once made, the size its
+    expansions have reached, and, for spiders with fewer legs than
+    --legs, whether it computes them."""
+
+    __slots__ = ("top", "legs", "first", "size", "computed")
+
+    def __init__(self, top: int, legs: int | None):
+        self.top, self.legs = top, legs
+        self.first: tuple[int, tuple[int, ...]] | None = None
+        self.size = 0
+        self.computed: dict[tuple[int, ...], bool] = {}
+
+
+_census: _Census | None = None
 
 
 def _census_top(top: int | None, legs: int | None = None) -> None:
@@ -144,10 +159,10 @@ def _census_top(top: int | None, legs: int | None = None) -> None:
     ``top`` vertices (with exactly ``legs`` legs, if given) runs in this
     process; ``top=None`` ends it, so later calls memoize every spider.
     The census visits spiders by n, then in reverse-lexicographic leg
-    order, which is what the top-size memo rule relies on."""
-    global _top_n, _top_legs
-    _top_n, _top_legs = top, legs
-    _readers.clear()
+    order, which is what the memo's read counts rely on."""
+    global _census
+    _census = None if top is None else _Census(top, legs)
+    _reads_left.clear()
 
 
 def spider_csf(s: Spider) -> EExpansion:
@@ -165,16 +180,53 @@ def spider_csf(s: Spider) -> EExpansion:
     (a+b, M) with one leg fewer; the spiders passed on the way are not
     memoized.  Spiders with at most two legs are paths.  Results are
     memoized in ``_spiders`` by the sorted leg tuple (during a spider
-    census, those of its top size only until their last reader).
+    census, each only until its last reader).
     """
+    if _census is not None:
+        _census_step(_census, s.n, s.legs.parts)
     return _spider_csf(s.legs.parts)
+
+
+def _precedes(x: tuple[int, tuple[int, ...]],
+              y: tuple[int, tuple[int, ...]]) -> bool:
+    """Does spider x = (n, legs) come before y in census order?"""
+    return x[0] < y[0] or (x[0] == y[0] and x[1] > y[1])
+
+
+def _census_step(census: _Census, n: int, legs: tuple[int, ...]) -> None:
+    """Note the census's next expansion."""
+    if census.first is None:
+        k = census.legs or 3
+        # a census that starts at or before its first spider with k legs
+        # computes every spider in order, so it keeps none to the end
+        start = (k + 1, (1,) * k)
+        census.first = (n, legs) if _precedes(start, (n, legs)) else (0, ())
+    elif n > census.size and census.legs:
+        # a spider with --legs legs is read only by later spiders of its
+        # own size: once the census is past that size, the reads it still
+        # waits for belong to spiders the criteria decided, never expanded
+        for key in [key for key in _reads_left if len(key) == census.legs]:
+            del _reads_left[key], _spiders[key]
+    census.size = n
+
+
+def _read(legs: tuple[int, ...]) -> EExpansion | None:
+    """The memoized spider, or None; a census counts the read."""
+    left = _reads_left.get(legs)
+    if left is None:
+        return _spiders.get(legs)
+    if left > 1:
+        _reads_left[legs] = left - 1
+        return _spiders[legs]
+    del _reads_left[legs]
+    return _spiders.pop(legs)
 
 
 def _spider_csf(legs: tuple[int, ...]) -> EExpansion:
     legs = tuple(sorted((l for l in legs if l > 0), reverse=True))
     if len(legs) <= 2:
         return path_csf(1 + sum(legs))
-    hit = _spiders.get(legs)
+    hit = _read(legs)
     if hit is not None:
         return hit
     a, b = legs[0], legs[-1]
@@ -186,59 +238,90 @@ def _spider_csf(legs: tuple[int, ...]) -> EExpansion:
     j = b - 1
     while j and (a + b - j,) + middle + (j,) not in _spiders:
         j -= 1
-    start = _spiders[(a + b - j,) + middle + (j,)].terms if j else sub(a + b)
+    start = _read((a + b - j,) + middle + (j,)).terms if j else sub(a + b)
     acc = dict(start)
     for i in range(j + 1, b + 1):
         # step from (a+b-i+1, M, i-1) to (a+b-i, M, i)
         add_product(acc, sub(a + b - i), path_csf(i).terms)
         add_product(acc, sub(i - 1), path_csf(a + b - i + 1).terms, -1)
-    n = 1 + sum(legs)
-    total = EExpansion.from_packed(n, acc)
-    if n == _top_n:
-        _memoize_top(legs, total)
-    else:
-        _spiders[legs] = total
+    total = EExpansion.from_packed(1 + sum(legs), acc)
+    _memoize(legs, total)
     return total
 
 
-def _census_computes(legs: tuple[int, ...]) -> bool:
-    """Does the running census compute this top-size spider, if it expands
-    every spider?  Every spider of the top size without --legs.  With
-    --legs k, the k-leg spiders, and the spiders with t = k - len(legs)
-    legs fewer whose sums start from them at j = 0: (c, N) starts
-    (c-1, N, 1), which starts (c-2, N, 1, 1), and so on, so (c, N) is
-    computed when c - t >= N[0]."""
-    return (_top_legs is None
-            or 0 <= _top_legs - len(legs) <= legs[0] - legs[1])
+def _memoize(legs: tuple[int, ...], total: EExpansion) -> None:
+    """Memoize a spider; in a census, for the reads still to come.
+
+    A census that expands every spider in its range computes each spider
+    from its memoized predecessor, so a spider is read once by each of its
+    ``_readers`` the census computes and never otherwise: every read a
+    full memo would serve is served, with the same products.  A spider
+    with fewer legs than --legs is computed on demand by the first of
+    those readers, which so reads it one time fewer.  A spider before the
+    census's first expansion (a census started past its first spider, or
+    resumed) is computed on demand in an order the counts do not follow,
+    so it is kept to the end of the census.  A census that expands only
+    what the criteria leave undecided computes fewer readers, so some
+    counted reads never come and an entry may stay to the end."""
+    census = _census
+    if (census is None or census.first is not None
+            and _precedes((1 + sum(legs), legs), census.first)):
+        _spiders[legs] = total
+        return
+    reads = sum(_computes(census, r) for r in _readers(census, legs))
+    if census.legs is not None and len(legs) < census.legs:
+        reads -= 1
+    if reads:
+        _spiders[legs] = total
+        _reads_left[legs] = reads
 
 
-def _memoize_top(legs: tuple[int, ...], total: EExpansion) -> None:
-    """Memoize a spider of the census's top size for its readers only.
+def _readers(census: _Census, legs: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The spiders that read the spider L = ``legs`` = (a, ..., b) when each
+    starts from its predecessor, with at most the census's top size and
+    its --legs legs.  Each reads L once, after L is computed:
 
-    In census order a top-size spider L = (a, M, b) is read, later and at
-    most once each, by its successor (a-1, M, b+1), which starts from L as
-    its memoized predecessor, and by (a-1, M, b, 1), whose sum starts from
-    L at j = 0.  So L is kept only if the census computes one of them, with
-    a count of those readers, and dropped once each has been computed.  L
-    is in turn such a reader of its own source, the successor of
-    (a+1, M, b-1) or, when b = 1, the spider with one more leg than
-    (a+1, M): that source loses a reader.  Every read a full memo would
-    serve is still served, so a census does the same products as with a
-    full memo."""
-    a, b, middle = legs[0], legs[-1], legs[1:-1]
-    source = (a + 1,) + middle + ((b - 1,) if b > 1 else ())
-    left = _readers.get(source)
-    if left == 1:
-        del _readers[source], _spiders[source]
-    elif left:
-        _readers[source] = left - 1
-    if a > middle[0]:
-        readers = ((b < middle[-1]
-                    and _census_computes((a - 1,) + middle + (b + 1,)))
-                   + _census_computes((a - 1,) + middle + (b, 1)))
-        if readers:
-            _spiders[legs] = total
-            _readers[legs] = readers
+    * its successor (a-1, L[1:-1], b+1), which starts from L;
+    * (a-1, L[1:], 1), which starts from L at j = 0;
+    * (a, L[1:], i) for i <= b, which reads L as X[a, L[1:]] at its last
+      step;
+    * (c, L[:-1], b+1) for c >= a, which reads L as X[b, L[:-1]] at its
+      last step;
+    * (c, L, 1) for c >= a, which reads L as X[0, L] at its one step.
+
+    The successor comes last, so that ``_computes`` meets a spider with
+    more legs first."""
+    a, b, d = legs[0], legs[-1], len(legs)
+    k = census.legs
+    room = census.top - 1 - sum(legs)  # vertices a reader may add
+    if room < 0:
+        return []
+    out = []
+    if k is None or d < k:  # readers with more legs
+        if a > legs[1]:
+            out.append((a - 1,) + legs[1:] + (1,))
+        out += [(a,) + legs[1:] + (i,) for i in range(1, min(b, room) + 1)]
+        for c in range(a, room):
+            if b < legs[-2]:
+                out.append((c,) + legs[:-1] + (b + 1,))
+            if k is None or d + 1 < k:
+                out.append((c,) + legs + (1,))
+    if a > legs[1] and b < legs[-2]:
+        out.append((a - 1,) + legs[1:-1] + (b + 1,))
+    return out
+
+
+def _computes(census: _Census, legs: tuple[int, ...]) -> bool:
+    """Does the census compute this spider, if it expands every spider in
+    its range?  Every spider with --legs legs (any, without --legs); one
+    with fewer legs when the census computes one of its readers."""
+    if census.legs is None or len(legs) == census.legs:
+        return True
+    known = census.computed.get(legs)
+    if known is None:
+        known = census.computed[legs] = any(
+            _computes(census, r) for r in _readers(census, legs))
+    return known
 
 
 def tree_csf(t: Spider | Tree, max_n: int | None = None) -> EExpansion:

@@ -336,11 +336,17 @@ def has_connected_partition(t: Tree, typ: Partition) -> bool:
 
 def first_missing_type(g: Spider | Tree) -> Partition | None:
     """Reverse-lexicographically first type g has no connected partition
-    of, or None."""
-    for typ in partitions_of(g.n):
-        if not g.has_connected_partition(typ):
-            return typ
-    return None
+    of, or None.  A tree counts its edge subsets by type in one unsigned,
+    unpruned walk and looks each type up in that count; a spider tests
+    each type by its packing search."""
+    types = partitions_of(g.n)
+    if isinstance(g, Tree):
+        pack((g.n,))  # refuses more than MAX_PACKED_WEIGHT vertices
+        counts = rooted_census(g._order, g._parent, 1)
+        return next((typ for typ in types if pack(typ.parts) not in counts),
+                    None)
+    return next((typ for typ in types if not g.has_connected_partition(typ)),
+                None)
 
 
 def line_graph(g: SimpleGraph | Tree) -> SimpleGraph:

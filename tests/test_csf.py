@@ -83,9 +83,8 @@ def empty_memo(monkeypatch):
     """Give the spider engine an empty memo, and no running census, until
     the test ends."""
     monkeypatch.setattr(csf_module, "_spiders", {})
-    monkeypatch.setattr(csf_module, "_readers", {})
-    monkeypatch.setattr(csf_module, "_top_n", None)
-    monkeypatch.setattr(csf_module, "_top_legs", None)
+    monkeypatch.setattr(csf_module, "_reads_left", {})
+    monkeypatch.setattr(csf_module, "_census", None)
     return csf_module._spiders
 
 
@@ -203,25 +202,92 @@ def census(*argv):
 def test_census_memo_drops_top_size_spiders(monkeypatch):
     memo = empty_memo(monkeypatch)
     census("4..20", "--mode", "with_expansion")
-    assert memo and max(1 + sum(legs) for legs in memo) == 19
+    # every spider, of the top size or smaller, went after its last reader
+    assert not memo and not csf_module._reads_left
     # the census is over: later calls memoize every spider again
-    assert csf_module._top_n is None and not csf_module._readers
+    assert csf_module._census is None
     for legs, entries in STANDALONE_MEMO:
         monkeypatch.setattr(csf_module, "_spiders", {})
         spider_csf(Spider(legs))
         assert len(csf_module._spiders) == entries, legs
 
 
+class ReadLog(dict):
+    """A spider memo that counts the reads of each entry."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored, self.reads = [], {}
+
+    def __setitem__(self, key, value):
+        assert key not in self.reads, f"{key} computed twice"
+        self.stored.append(key)
+        self.reads[key] = 0
+        super().__setitem__(key, value)
+
+    def _read(self, key, value):
+        if value is not None:
+            self.reads[key] += 1
+        return value
+
+    def get(self, key, default=None):
+        return self._read(key, super().get(key, default))
+
+    def __getitem__(self, key):
+        return self._read(key, super().__getitem__(key))
+
+    def pop(self, key, *default):
+        return self._read(key, super().pop(key, *default))
+
+
+class CountLog(dict):
+    """Read counts that remember the count each entry was given."""
+
+    def __init__(self):
+        super().__init__()
+        self.given = {}
+
+    def __setitem__(self, key, value):
+        if key not in self:
+            self.given.setdefault(key, value)
+        super().__setitem__(key, value)
+
+
+@pytest.mark.parametrize("legs", [(), ("--legs", "3"), ("--legs", "4")])
+def test_census_memo_counts_every_read(monkeypatch, legs):
+    # replay: each spider a census memoizes is read exactly as often as the
+    # count it was given, and none is left when the census ends
+    empty_memo(monkeypatch)
+    memo, counts = ReadLog(), CountLog()
+    monkeypatch.setattr(csf_module, "_spiders", memo)
+    monkeypatch.setattr(csf_module, "_reads_left", counts)
+    census("4..14", "--mode", "with_expansion", *legs)
+    assert memo.stored
+    assert memo.reads == counts.given
+    assert not memo and not counts
+
+
 @pytest.mark.parametrize("argv", [
     ("4..16", "--mode", "with_expansion"),
     ("4..16",),
     ("4..16", "--mode", "with_expansion", "--legs", "4"),
+    ("4..16", "--mode", "with_expansion", "--legs", "3"),
+    ("9..16", "--mode", "with_expansion"),
+    ("4..16", "--mode", "with_expansion", "--resume"),
 ])
-def test_census_memo_drops_no_product(monkeypatch, argv):
-    # a census that drops its top-size spiders after their last reader does
-    # the products of one that keeps every spider
+def test_census_memo_drops_no_product(monkeypatch, tmp_path, argv):
+    # a census that drops each spider after its last reader does the
+    # products of one that keeps every spider, also when it starts past
+    # n = 4 or resumes from half a journal
     for n in range(1, 17):
         path_csf(n)
+    resume = argv[-1] == "--resume"
+    if resume:
+        journal = tmp_path / "census.jsonl"
+        census(*argv, str(journal))
+        lines = journal.read_text().splitlines(keepends=True)
+        half = "".join(lines[:len(lines) // 2])
+        argv += (str(journal),)
     calls = []
     product = csf_module.add_product
     monkeypatch.setattr(csf_module, "add_product",
@@ -230,12 +296,14 @@ def test_census_memo_drops_no_product(monkeypatch, argv):
     for hook in (cli._census_top, lambda *a: None):
         monkeypatch.setattr(cli, "_census_top", hook)
         memo = empty_memo(monkeypatch)
+        if resume:
+            journal.write_text(half)
         calls.clear()
         census(*argv)
         counts.append(len(calls))
         top.append(sum(1 for legs in memo if sum(legs) == 15))
     assert counts[0] == counts[1] > 0, counts
-    if "with_expansion" in argv:
+    if "with_expansion" in argv and not resume:
         # every reader ran, so no 16-vertex spider is left, --legs or not
         assert top[0] == 0 < top[1]
     if argv == ("4..16", "--mode", "with_expansion"):

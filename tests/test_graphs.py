@@ -139,6 +139,18 @@ def test_first_missing_is_revlex_first():
     assert first_missing_type(t) == Partition([2, 2])
 
 
+def test_tree_first_missing_matches_per_type_loop():
+    # a tree looks every type up in one unpruned walk; asking for each type
+    # in turn, reverse-lexicographically, must stop at the same one
+    for n in range(1, 11):
+        for t in enumerate_trees(n):
+            want = next((typ for typ in partitions_of(n)
+                         if not has_connected_partition(t, typ)), None)
+            assert first_missing_type(t) == want, t
+    with pytest.raises(ValueError):
+        first_missing_type(Tree(256, [(v, v + 1) for v in range(255)]))
+
+
 def test_subtree_reduction_examples():
     s = Spider([3, 2, 1])
     t = spider_to_tree(s)
