@@ -13,8 +13,10 @@ Two algorithms compute it, and the caller picks by what it holds:
   holding the vertex, in its lowest field and the packed multiset of
   closed blocks above it, so two states combine by adding keys.  Each
   child merges in across its edge, kept (the open blocks join, the sign
-  flips) or cut (the child's open block closes), in one product.  The
-  cost grows with the number of block-size types, not with 2^|E|.
+  flips) or cut (the child's open block closes), in one product; a leaf
+  child, which has no state of its own, merges through one constant map
+  per walk.  The cost grows with the number of block-size types, not with
+  2^|E|.
   Unsigned and pruned, it is ``graphs.has_connected_partition``.
 
 * Any other edge list (line graphs, forests, a repeated edge) takes
@@ -60,10 +62,15 @@ def rooted_census(order, parent, sign=-1, keep=None) -> dict[int, int]:
     given, must pass every state key that can still grow into a wanted
     type; the walk drops the others after each merge."""
     leaf = {1: 1}  # one vertex: an open block of size 1, nothing closed
+    # A leaf child seen across its edge, shared by every leaf of the walk:
+    # cut, a closed block of size 1; kept, an open block of size 1, times sign.
+    leaf_edge = {1 << FIELD_BITS: 1, 1: sign}
     states = {}
     for v in reversed(order[1:]):
         p = parent[v]
-        states[p] = _join(states.get(p, leaf), states.pop(v, leaf), sign, keep)
+        child = states.pop(v, None)
+        edge = leaf_edge if child is None else _across(child, sign)
+        states[p] = _join(states.get(p, leaf), edge, keep)
         if not states[p]:
             return {}  # no subset survives, whatever the rest of the tree
     root = _close(states.get(order[0], leaf))
@@ -101,15 +108,21 @@ def _close(state) -> dict[int, int]:
     return out
 
 
-def _join(state, child, sign, keep):
-    """Merge a child's map into its parent's across the edge between them."""
-    # Keep the edge (open blocks join, times sign) or cut it (the child's
-    # open block closes): only cut keys have open size 0, so none collide.
+def _across(child, sign):
+    """A child's map seen across the edge to its parent: the edge cut (the
+    child's open block closes) or kept (the open block stays, times sign).
+    Only cut keys have open size 0, so none collide."""
     merged = _close(child)
     for key, c in child.items():
         merged[key] = sign * c
+    return merged
+
+
+def _join(state, edge, keep):
+    """Merge a child's map, seen across its edge, into its parent's; the
+    open blocks of a kept edge join as the keys add."""
     out = {}
-    add_product(out, state, merged)
+    add_product(out, state, edge)
     if keep is not None:
         out = {key: c for key, c in out.items() if keep(key)}
     return out

@@ -6,9 +6,13 @@ and every key partitions the declared degree.  A product of two basis
 elements is the sum of their keys, so every product accumulates in place
 into one dict through ``add_product``.  ``Partition`` objects appear only at
 the API: the public constructor, ``items``, ``coefficient``,
-``first_negative`` and the text and JSON forms.  The power-sum to elementary
-conversion runs through the Newton recurrence and stays integral, so any
-rational would be a bug and is never representable here.
+``first_negative`` and the text and JSON forms.
+
+The power-sum to elementary conversion stays integral, so any rational
+would be a bug and is never representable here.  Each power-sum monomial's
+e-row is built once per process by the Newton recurrence
+(``p_monomial_in_e``) and kept under its packed p-key; ``PExpansion.to_e``
+adds ``coeff * row`` into one dict per term, with no unpacking.
 """
 
 from __future__ import annotations
@@ -207,9 +211,19 @@ class PExpansion(_Expansion):
     def to_e(self) -> EExpansion:
         """Exact elementary-basis expansion of the same function."""
         acc: dict[int, int] = {}
+        get = acc.get
         for key, coeff in self.terms.items():
-            add_product(acc, UNIT, p_monomial_in_e(unpack(key)).terms, coeff)
+            row = _E_ROWS.get(key)
+            if row is None:
+                row = _E_ROWS[key] = p_monomial_in_e(unpack(key)).terms
+            for k, c in row.items():
+                acc[k] = get(k, 0) + coeff * c
         return EExpansion.from_packed(self.degree, acc)
+
+
+# The e-terms of each power-sum monomial met so far, keyed by its packed
+# p-key, so that a conversion neither unpacks nor hashes a tuple per term.
+_E_ROWS: dict[int, dict[int, int]] = {}
 
 
 @lru_cache(maxsize=None)
@@ -217,8 +231,8 @@ def p_in_e(k: int) -> EExpansion:
     """The power sum p_k in the elementary basis (Newton recurrence).
 
     p_k = (-1)^(k-1) k e_k + sum_{i=1}^{k-1} (-1)^(i-1) e_i p_{k-i},
-    all coefficients integral.  Cached per k: this is the hot path of the
-    edge-subset oracle.
+    all coefficients integral.  Cached per k: every monomial row that
+    ``to_e`` reads is a product of these.
     """
     if k < 1:
         raise ValueError(f"p_k needs k >= 1, got {k}")

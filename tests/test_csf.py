@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from espider import cli
+from espider import cli, symfunc
 from espider import csf as csf_module
 from espider.csf import (OracleBoundError, coeff_four_leg, coeff_mq, coeff_three_two,
                          coeff_two_powers, csf_oracle, path_csf,
@@ -12,7 +12,7 @@ from espider.csf import (OracleBoundError, coeff_four_leg, coeff_mq, coeff_three
                          tree_csf)
 from espider.graphs import (SimpleGraph, Spider, Tree, enumerate_spiders,
                             enumerate_trees, mn_tree, spider_to_tree)
-from espider.partitions import Partition, partitions_of
+from espider.partitions import Partition, pack, partitions_of, unpack
 from espider.symfunc import EExpansion
 
 from oracles import count_colorings
@@ -33,6 +33,29 @@ def test_oracle_base_cases():
     claw = csf_oracle(Spider([1, 1, 1]))
     assert claw.coefficient(Partition([2, 2])) == -2
     assert claw == E([((4,), 4), ((3, 1), 5), ((2, 2), -2), ((2, 1, 1), 1)])
+
+
+def test_oracle_unpacks_each_power_sum_key_once(monkeypatch):
+    # p->e reads its rows by packed key: a key is unpacked only when its row
+    # is first built.  The path's census holds all 77 partitions of 12, so
+    # the second tree finds every row it needs already there.
+    calls = []
+
+    def counted_unpack(key):
+        calls.append(key)
+        return unpack(key)
+
+    monkeypatch.setattr(symfunc, "_E_ROWS", {})
+    monkeypatch.setattr(symfunc, "unpack", counted_unpack)
+    assert csf_oracle(path_tree(12)) == path_csf(12)
+    keys = sorted(pack(lam.parts) for lam in partitions_of(12))
+    assert sorted(calls) == keys
+    calls.clear()
+    broom = Tree(12, [(0, 1), (0, 2), (0, 3)]
+                 + [(i, i + 1) for i in range(3, 11)])
+    oracle = csf_oracle(broom)
+    assert calls == []
+    assert oracle == tree_csf(broom)  # a spider: the leg-unhooking engine
 
 
 def test_oracle_bound_enforced():

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from espider import _subsets
 from espider.graphs import Tree, enumerate_trees
-from espider.partitions import MAX_PACKED_WEIGHT, unpack
+from espider.partitions import MAX_PACKED_WEIGHT, pack, partitions_of, unpack
 
 from oracles import connected_partition_types, naive_subset_census
 
@@ -58,6 +58,25 @@ def test_unsigned_walk_counts_subsets_by_type():
             assert counts == naive_subset_census(n, edges, sign=1), t
             assert set(counts) == connected_partition_types(n, edges), t
             assert sum(counts.values()) == 2 ** (n - 1), t
+
+
+def test_interleaved_walks_agree_with_naive_oracle():
+    # signed, unsigned and pruned walks take turns on each tree, so a leaf
+    # map that one walk changed would show in the next one's counts
+    for n in range(1, 10):
+        for t in enumerate_trees(n):
+            edges = sorted(t.edges)
+            signed = naive_subset_census(n, edges)
+            plain = naive_subset_census(n, edges, sign=1)
+            for typ in partitions_of(n):
+                pruned = _subsets.rooted_census(
+                    t._order, t._parent, 1, _subsets.fits_in(typ.parts))
+                got = pruned.get(pack(typ.parts), 0)
+                assert got == plain.get(typ.parts, 0), (t, typ)
+                for key, c in pruned.items():
+                    assert 0 <= c <= plain.get(unpack(key), 0), (t, typ)
+                assert tree_census(t) == signed, (t, typ)
+                assert tree_census(t, 1) == plain, (t, typ)
 
 
 graph_cases = st.integers(3, 7).flatmap(

@@ -1,3 +1,5 @@
+from random import Random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,13 +35,57 @@ def test_p_monomials_match_numeric_evaluation():
                 assert eval_e_expansion(exp, xs) == direct, (lam, xs)
 
 
+def _p_product_in_e(parts, coeff=1):
+    """coeff * p_{parts[0]} p_{parts[1]} ... in the e-basis, built with
+    ``__mul__`` from the single power sums alone."""
+    prod = EExpansion.single((), coeff)
+    for part in parts:
+        prod = prod * p_in_e(part)
+    return prod
+
+
 def test_p_to_e_is_a_ring_map():
     for n in range(1, 11):
         for lam in partitions_of(n):
-            prod = EExpansion.single(())
-            for part in lam:
-                prod = prod * p_in_e(part)
-            assert p_monomial_in_e(lam.parts) == prod
+            assert p_monomial_in_e(lam.parts) == _p_product_in_e(lam)
+
+
+def test_to_e_matches_products_of_power_sums():
+    # each p_lam alone, then one signed combination of them all per degree,
+    # with coefficients far past a machine word
+    rng = Random(19)
+    for n in range(1, 11):
+        terms, expect = {}, EExpansion.zero()
+        for lam in partitions_of(n):
+            assert PExpansion.single(lam).to_e() == _p_product_in_e(lam), lam
+            coeff = rng.randint(-10**30, 10**30)
+            terms[lam] = coeff
+            expect = expect + _p_product_in_e(lam, coeff)
+        assert PExpansion(n, terms).to_e() == expect, n
+
+
+def test_to_e_drops_cancelled_terms():
+    # p_1^2 - p_2 = (e_1^2) - (e_1^2 - 2 e_2): the e_1^2 term cancels
+    out = PExpansion(2, {(1, 1): 1, (2,): -1}).to_e()
+    assert out.terms == E([((2,), 2)]).terms
+    x = PExpansion(3, {(2, 1): 5, (1, 1, 1): -7})
+    assert (x - x).to_e().is_zero()
+
+
+def test_to_e_degree_zero():
+    assert PExpansion.single(()).to_e() == EExpansion.single(())
+    assert PExpansion.zero().to_e().is_zero()
+
+
+def test_to_e_sparse_high_degree():
+    # p_1 = e_1 and p_2 = e_1^2 - 2 e_2: two sparse degree-200 inputs that
+    # convert at once, with nothing built per partition of 200
+    ones = (1,) * 200
+    assert PExpansion.single(ones).to_e() == E([(ones, 1)])
+    two = (2,) + (1,) * 198
+    assert PExpansion.single(two).to_e() == E([(ones, 1), (two, -2)])
+    both = PExpansion(200, {ones: 1, two: 3})
+    assert both.to_e() == E([(ones, 4), (two, -6)])
 
 
 def test_specialization_round_trip():
