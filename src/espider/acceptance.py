@@ -16,7 +16,7 @@ from collections.abc import Callable
 from functools import lru_cache
 from math import isqrt
 
-from espider.criteria import qm_test, run_battery
+from espider.criteria import mod_test, qm_test, run_battery
 from espider.csf import (coeff_four_leg, coeff_mq, coeff_three_two,
                          coeff_two_powers, csf_oracle, path_e_coefficient,
                          spider_csf, three_two_key, tree_csf)
@@ -399,6 +399,77 @@ def check_analytic_bounds():
             f"degree_bound on {degree_fired}, each with a block-size witness")
 
 
+# The paper's six leg-shape ("variety") conditions on a spider with legs
+# l_1 >= ... >= l_d: each returns the first modulus m at which it forces
+# the residue-sum test to fail, or None when it does not hold.
+
+def _indivisible(s: Spider, m: int) -> int:
+    """How many legs m does not divide."""
+    return sum(1 for l in s.legs.parts if l % m)
+
+
+def variety_1(s: Spider) -> int | None:
+    """Some l_i < l_(i+1) + ... + l_d: m = l_i + 1."""
+    legs = s.legs.parts
+    return next((legs[i] + 1 for i in range(s.d - 1)
+                 if legs[i] < sum(legs[i + 1:])), None)
+
+
+def variety_2(s: Spider) -> int | None:
+    """At least 2m - 1 legs have length not divisible by m."""
+    return next((m for m in range(2, min(s.n, (s.d + 1) // 2) + 1)
+                 if _indivisible(s, m) >= 2 * m - 1), None)
+
+
+def variety_3(s: Spider) -> int | None:
+    """m divides n and at least m legs are not divisible by m."""
+    return next((m for m in range(2, min(s.n, s.d) + 1)
+                 if s.n % m == 0 and _indivisible(s, m) >= m), None)
+
+
+def variety_4(s: Spider) -> int | None:
+    """m divides n and l_i + 1 <= m <= l_i + ... + l_d for some i."""
+    legs = s.legs.parts
+    return next((m for m in range(2, s.n + 1) if s.n % m == 0 and any(
+        legs[i] < m <= sum(legs[i:]) for i in range(s.d))), None)
+
+
+def variety_5(s: Spider) -> int | None:
+    """Some g > 1 divides l_i + 1 and l_j + 1, hence neither l_i nor l_j,
+    and misses a third leg: more than two legs in all.  m = g."""
+    legs = s.legs.parts
+    return next((g for i in range(s.d) for j in range(i + 1, s.d)
+                 for g in range(2, legs[j] + 2)
+                 if (legs[i] + 1) % g == (legs[j] + 1) % g == 0
+                 and _indivisible(s, g) > 2), None)
+
+
+def variety_6(s: Spider) -> int | None:
+    """n mod t > l_i, where t = l_i + ... + l_d > 1: m = t."""
+    legs = s.legs.parts
+    return next((t for i, l in enumerate(legs)
+                 if (t := sum(legs[i:])) > 1 and s.n % t > l), None)
+
+
+VARIETY = (variety_1, variety_2, variety_3, variety_4, variety_5, variety_6)
+
+
+def check_variety_conditions():
+    """17. The paper's six variety conditions prove nothing the battery does
+    not: on every spider n <= 30 where one holds, the residue-sum test fails
+    at the modulus it names, and each condition holds on some spider."""
+    spiders = [s for n in range(2, 31) for s in enumerate_spiders(n)]
+    held = [0] * len(VARIETY)
+    for s in spiders:
+        for k, condition in enumerate(VARIETY):
+            m = condition(s)
+            if m is not None:
+                held[k] += 1
+                assert mod_test(s, m).triggered, (condition.__name__, s, m)
+    assert all(held), held
+    return f"{len(spiders)} spiders, conditions 1-6 held on {held}"
+
+
 CRITERIA = [
     check_path_formula,
     check_engine_equivalence,
@@ -416,6 +487,7 @@ CRITERIA = [
     check_four_leg_sweep,
     check_conjecture_spots,
     check_analytic_bounds,
+    check_variety_conditions,
 ]
 
 

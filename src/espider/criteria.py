@@ -6,15 +6,14 @@ type that is missing, or a negative coefficient with its value, either of
 which a check can re-test on the graph.  The one exception is the six-leg
 rule's fallback, which states its theorem as text.  Criteria never decide
 e-positivity; silence means "unknown" until an exact expansion is
-computed.  The paper's analytic growth bounds are not in the battery:
-wherever they fire, the block-size test names a missing type (see
-``espider.acceptance``).
+computed.  The battery runs only criteria that can decide a verdict: the
+paper's analytic growth bounds and six leg-shape conditions fire only where
+the block-size or residue-sum test already does (see ``espider.acceptance``).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, isqrt
 
 from espider.csf import (DEFAULT_TREE_ORACLE_BOUND, _four_leg_coeff,
                          coeff_three_two, three_two_key, tree_csf)
@@ -140,10 +139,9 @@ def mod_test(s: Spider, m: int) -> CriterionReport:
 
 class _LegTables(dict):
     """What the criteria of one battery share about one spider: ``mod_test``
-    at each modulus, run once on first use (the dict itself), the suffix
-    sums of the legs and, per modulus, how many legs it does not divide.
-    Build one per battery and drop it with the battery: a longer-lived memo
-    only grows."""
+    at each modulus, run once on first use (the dict itself), and the
+    suffix sums of the legs.  Build one per battery and drop it with the
+    battery: a longer-lived memo only grows."""
 
     def __init__(self, s: Spider):
         super().__init__()
@@ -153,18 +151,10 @@ class _LegTables(dict):
         for i in range(s.d - 1, -1, -1):
             tails[i] = tails[i + 1] + legs[i]
         self.tails = tails
-        self._indivisible = {}
 
     def __missing__(self, m: int) -> CriterionReport:
         rep = self[m] = mod_test(self.s, m)
         return rep
-
-    def indivisible(self, m: int) -> int:
-        """How many legs m does not divide."""
-        bad = self._indivisible.get(m)
-        if bad is None:
-            bad = self._indivisible[m] = sum(1 for l in self.legs if l % m)
-        return bad
 
 
 def mod_test_scan(s: Spider) -> CriterionReport:
@@ -181,119 +171,6 @@ def _mod_test_scan(tab: _LegTables) -> CriterionReport:
     return CriterionReport("mod", False, params={"scanned_m": f"2..{n}"})
 
 
-def variety_conditions(s: Spider) -> list[CriterionReport]:
-    """Six standalone leg-shape conditions, each sufficient for
-    non-e-positivity.  Every firing condition reduces to a residue-sum
-    failure at some modulus, so each witness is a concrete missing type."""
-    return _variety_conditions(_LegTables(s))
-
-
-def _variety_conditions(tab: _LegTables) -> list[CriterionReport]:
-    s = tab.s
-    legs = tab.legs
-    tails = tab.tails
-    d = s.d
-    n = s.n
-    out = []
-
-    def fire(name, modulus, params):
-        rep = tab[modulus]
-        if not rep.triggered:
-            raise CriterionSoundnessError(
-                f"{name} fired but the residue test at m={modulus} found "
-                f"type {rep.params} present on {s}")
-        return CriterionReport(name, True, rep.witness,
-                               {**params, "modulus": modulus})
-
-    # 1: some leg shorter than the ones after it combined.
-    rep = None
-    for i in range(d - 1):
-        tail = tails[i + 1]
-        if legs[i] < tail:
-            rep = fire("variety_1", legs[i] + 1,
-                       {"i": i + 1, "leg": legs[i], "tail": tail})
-            break
-    out.append(rep or CriterionReport("variety_1", False))
-
-    # 2: at least 2m-1 legs with length not divisible by m (so 2m-1 <= d).
-    rep = None
-    for m in range(2, min(n, (d + 1) // 2) + 1):
-        bad = tab.indivisible(m)
-        if bad >= 2 * m - 1:
-            rep = fire("variety_2", m, {"m": m, "indivisible_legs": bad})
-            break
-    out.append(rep or CriterionReport("variety_2", False))
-
-    # 3: m divides n and at least m legs are not divisible by m (so m <= d).
-    rep = None
-    for m in range(2, min(n, d) + 1):
-        if n % m:
-            continue
-        bad = tab.indivisible(m)
-        if bad >= m:
-            rep = fire("variety_3", m, {"m": m, "indivisible_legs": bad})
-            break
-    out.append(rep or CriterionReport("variety_3", False))
-
-    # 4: m divides n and lands in [leg_i + 1, leg_i + ... + leg_d].
-    rep = None
-    for m in range(2, n + 1):
-        if n % m:
-            continue
-        hit = None
-        for i in range(d):
-            if legs[i] + 1 <= m <= tails[i]:
-                hit = i
-                break
-        if hit is not None:
-            rep = fire("variety_4", m, {"m": m, "i": hit + 1})
-            break
-    out.append(rep or CriterionReport("variety_4", False))
-
-    # 5: legs i, j with a common factor g > 1 of leg+1 that misses leg k.
-    # g divides leg_i + 1 and leg_j + 1, so it divides neither leg: some
-    # other leg k escapes g exactly when more than two legs do.
-    rep = None
-    for i in range(d):
-        if rep:
-            break
-        for j in range(i + 1, d):
-            if rep:
-                break
-            g0 = gcd(legs[i] + 1, legs[j] + 1)
-            if g0 == 1:
-                continue
-            for g in _divisors_over_one(g0):
-                if tab.indivisible(g) > 2:
-                    k = next(k for k in range(d)
-                             if k not in (i, j) and legs[k] % g)
-                    rep = fire("variety_5", g,
-                               {"i": i + 1, "j": j + 1, "k": k + 1, "g": g})
-                    break
-    out.append(rep or CriterionReport("variety_5", False))
-
-    # 6: n mod t exceeds leg_i where t is the tail sum from leg_i on.
-    rep = None
-    for i in range(d):
-        t = tails[i]
-        if t <= 1:
-            continue
-        if n % t > legs[i]:
-            rep = fire("variety_6", t, {"i": i + 1, "t": t, "n_mod_t": n % t})
-            break
-    out.append(rep or CriterionReport("variety_6", False))
-
-    return out
-
-
-def _divisors_over_one(g: int):
-    out = [d for d in range(2, isqrt(g) + 1) if g % d == 0]
-    out += [g // d for d in reversed(out) if g // d not in out]
-    if g > 1:
-        out.append(g)
-    return sorted(set(out))
-
-
 def qm_test(s: Spider, i: int | None = None, m: int | None = None) -> CriterionReport:
     """Block-size test: long inner legs force nearly equal block sizes the
     tail legs cannot absorb.
@@ -304,7 +181,8 @@ def qm_test(s: Spider, i: int | None = None, m: int | None = None) -> CriterionR
     whenever q (t - 2m + 1) > m (a - 1), t > 2m - 1 and a > leg_{i+1}.
 
     With no arguments every (i, m) is scanned (m up to ceil(t/2)); passing
-    i and m evaluates exactly that instantiation.
+    i and m evaluates exactly that instantiation.  An i outside 2..d-1 or
+    an m below 1 raises ValueError.
     """
     return _qm_test(_LegTables(s), i, m)
 
@@ -319,6 +197,8 @@ def _qm_test(tab: _LegTables, i: int | None = None,
     def m_top(i):
         return max(1, -(-tails[i] // 2))
 
+    if m is not None and m < 1:
+        raise ValueError(f"m must be at least 1, got {m}")
     if i is not None:
         if not 2 <= i <= d - 1:
             raise ValueError(f"i must be in 2..{d - 1}, got {i}")
@@ -358,8 +238,8 @@ def six_leg(s: Spider) -> CriterionReport:
     type.  The witness is located constructively: the block-size test at
     the instantiation the theory singles out, then the full block-size
     scan.  Should both stay silent, the theorem itself is the witness, as
-    inequality text.  The residue and variety tests are not rerun here:
-    the battery has already reported them."""
+    inequality text.  The residue test is not rerun here: the battery has
+    already reported it."""
     return _six_leg(_LegTables(s))
 
 
@@ -493,9 +373,8 @@ def run_battery(g: Spider | Tree, mode: str = "criteria_only",
         reports = tree_battery(g)
     else:
         tab = _LegTables(g)
-        reports = [_mod_test_scan(tab), *_variety_conditions(tab),
-                   _qm_test(tab), _six_leg(tab), _four_leg_q(tab),
-                   two_odd_legs(g)]
+        reports = [_mod_test_scan(tab), _qm_test(tab), _six_leg(tab),
+                   _four_leg_q(tab), two_odd_legs(g)]
     result = BatteryResult(str(g), reports,
                            False if any(r.triggered for r in reports) else None)
     if mode == "criteria_only":
@@ -558,5 +437,4 @@ def _spider_reports(legs: Partition) -> tuple[CriterionReport, ...]:
     by every tree that reduces to it: copy a report, never mutate one."""
     sp = Spider(legs)
     tab = _LegTables(sp)
-    return (_mod_test_scan(tab), *_variety_conditions(tab),
-            _qm_test(tab), _six_leg(tab))
+    return _mod_test_scan(tab), _qm_test(tab), _six_leg(tab)

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from espider import acceptance, cli
-from espider.criteria import MODES
+from espider.criteria import MODES, mod_test
 from espider.graphs import Spider, Tree, mn_tree, spider_to_tree
 from espider.partitions import Partition
 
@@ -284,13 +284,13 @@ def test_census_resume_byte_identical(capsys, tmp_path):
 
 
 def test_census_resume_reads_journals_with_retired_reports(capsys, tmp_path):
-    # a journal written while the battery still ran the analytic bounds,
-    # and variety_1 still carried "weak": false, resumes to the same bytes:
-    # a journal row is read only for its first trigger and its verdict
-    def retired(name, fired, params):
-        witness = {"kind": "inequality", "text": "..."} if fired else None
-        return {"name": name, "triggered": fired, "witness": witness,
-                "params": params}
+    # a journal written while the battery still ran the six variety
+    # conditions (variety_1 carrying "weak": false) and the analytic bounds
+    # resumes to the same bytes: a journal row is read only for its first
+    # trigger and its verdict
+    def retired(name, witness, params):
+        return {"name": name, "triggered": witness is not None,
+                "witness": witness, "params": params}
 
     argv = ["census", "spiders", "4..12", "--mode", "with_expansion"]
     j = tmp_path / "old.jsonl"
@@ -302,15 +302,25 @@ def test_census_resume_reads_journals_with_retired_reports(capsys, tmp_path):
     for rec in records[:kept]:
         s = Spider(json.loads(rec["row"]["graph"][1:]))
         reports = rec["row"]["criteria"]
-        assert reports[1]["name"] == "variety_1"
-        reports[1]["params"]["weak"] = False
+        assert reports[0]["name"] == "mod"
+        variety = []
+        for condition in acceptance.VARIETY:
+            m = condition(s)
+            witness = (None if m is None
+                       else mod_test(s, m).witness.to_json_obj())
+            variety.append(retired(condition.__name__, witness,
+                                   {} if m is None else {"modulus": m}))
+            fired += m is not None
+        variety[0]["params"]["weak"] = False
+        reports[1:1] = variety
         violated = acceptance.sqrt_bound(s)
         by_degree = acceptance.degree_bound(s)
+        inequality = {"kind": "inequality", "text": "..."}
         at = [r["name"] for r in reports].index("qm") + 1
         reports[at:at] = [
-            retired("sqrt_bound", violated is not None,
+            retired("sqrt_bound", inequality if violated else None,
                     dict(zip(("i", "clause"), violated or ()))),
-            retired("degree_bound", by_degree,
+            retired("degree_bound", inequality if by_degree else None,
                     {"terms": s.d - 3} if s.d >= 5 else {})]
         fired += (violated is not None) + by_degree
     j.write_text("".join(json.dumps(rec) + "\n"
@@ -570,16 +580,18 @@ sys.exit(espider.cli.main(["verify"]))
 # text, byte for byte.  First pinned before the battery shared its leg
 # tables and rendered witness text on demand; re-pinned when the analytic
 # bounds left the battery, to the older output with the sqrt_bound and
-# degree_bound reports and variety_1's "weak": false param taken out
+# degree_bound reports and variety_1's "weak": false param taken out; and
+# re-pinned when the variety conditions left it, to the older output with
+# the six variety_* reports taken out
 # (test id, census arguments, sha256 of its json output); the criteria_only
 # tree census stamps every reduced spider of every tree up to n = 12
 CENSUS_DIGESTS = [
     ("spiders", ("spiders", "4..14", "--mode", "with_expansion"),
-     "bba4f3693f9c0f17da71889f8864e86cb7aa6870622e96a824bfa315500cd7b6"),
+     "35de2862b4e06d7ba8ac14c84189ee8a45ae1dca894968207841e5532def94f0"),
     ("trees", ("trees", "4..10", "--mode", "with_expansion"),
-     "75f07a5db9f5637bca1818a9c21cbaa08f2719c3e8c656cb684c7fe32acaba93"),
+     "06a5c41b0dcc7901dc92a786a1472e863a4869693933ee86a21861340d7b7566"),
     ("trees-criteria_only", ("trees", "4..12", "--mode", "criteria_only"),
-     "9394e8d28448f4ea007da66d33e611c1343db63a835a15f0e07bfeb76c15af07"),
+     "fe0cc6b4e9acac04ada42d8beee7dc09d10426d3353569210e307e3953f06047"),
 ]
 
 

@@ -1,11 +1,12 @@
 import pytest
 
 from espider import criteria, graphs
-from espider.acceptance import degree_bound, sqrt_bound
+from espider.acceptance import (VARIETY, degree_bound, sqrt_bound,
+                                variety_1, variety_2)
 from espider.criteria import (CriterionReport, CriterionSoundnessError,
                               Witness, four_leg_q, mod_test, mod_test_scan,
                               qm_test, run_battery, six_leg, tree_battery,
-                              two_odd_legs, variety_conditions)
+                              two_odd_legs)
 from espider.csf import OracleBoundError, spider_csf, tree_csf
 from espider.graphs import (Spider, Tree, enumerate_spiders, enumerate_trees,
                             mn_tree, reduce_to_spider, spider_to_tree)
@@ -44,16 +45,13 @@ def test_mod_scan_reports_first_m():
 
 
 def test_variety_examples():
-    reps = variety_conditions(Spider([2, 2, 2]))
-    assert reps[0].name == "variety_1" and reps[0].triggered
-    assert reps[0].params["i"] == 1
-    reps = variety_conditions(Spider([1, 1, 1]))
-    assert reps[1].triggered and reps[1].params["m"] == 2
+    # condition 1 at S(2,2,2): leg 1 (2) is shorter than its tail (4)
+    assert variety_1(Spider([2, 2, 2])) == 3
+    assert variety_2(Spider([1, 1, 1])) == 2
     for n in (5, 7, 9):
-        reps = variety_conditions(Spider([n, n - 1, 1]))
-        assert triggered_names(reps) == []
+        assert [c(Spider([n, n - 1, 1])) for c in VARIETY] == [None] * 6
     # condition 1 is strict: S(4,2,2)'s inner leg 2 equals its tail 2
-    assert not variety_conditions(Spider([4, 2, 2]))[0].triggered
+    assert variety_1(Spider([4, 2, 2])) is None
 
 
 def test_qm_worked_example():
@@ -70,6 +68,14 @@ def test_qm_gate_cases():
     assert not qm_test(Spider([2, 1, 1])).triggered  # t = 1 kills every m
     with pytest.raises(ValueError):
         qm_test(Spider([3, 2, 1]), i=3)  # i out of range (d = 3)
+
+
+@pytest.mark.parametrize("kwargs", [{"i": 2, "m": 0}, {"m": 0}, {"m": -1}])
+def test_qm_refuses_block_multiplier_below_one(kwargs):
+    # m = 0 once scanned every m at i = 2, or divided by zero without i;
+    # m = -1 reported silent
+    with pytest.raises(ValueError, match="m must be at least 1"):
+        qm_test(Spider([3, 2, 1]), **kwargs)
 
 
 def test_qm_m1_slice_subsumed_by_scan():
@@ -195,8 +201,8 @@ def test_battery_matches_criteria_one_by_one(monkeypatch):
             asked.clear()
             battery = run_battery(s).reports
             assert len(asked) == len(set(asked)), s
-            alone = [mod_test_scan(s), *variety_conditions(s), qm_test(s),
-                     six_leg(s), four_leg_q(s), two_odd_legs(s)]
+            alone = [mod_test_scan(s), qm_test(s), six_leg(s),
+                     four_leg_q(s), two_odd_legs(s)]
             assert ([r.to_json_obj() for r in battery]
                     == [r.to_json_obj() for r in alone]), s
 
@@ -286,8 +292,7 @@ def test_tree_battery_memo_matches_direct_battery():
                     if t.degree(v) < 3:
                         continue
                     sp = reduce_to_spider(t, v)
-                    subs = [mod_test_scan(sp), *variety_conditions(sp),
-                            qm_test(sp), six_leg(sp)]
+                    subs = [mod_test_scan(sp), qm_test(sp), six_leg(sp)]
                     direct += [CriterionReport(
                         r.name, r.triggered, r.witness,
                         {**r.params, "vertex": v, "spider": str(sp)})
