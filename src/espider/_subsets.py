@@ -50,7 +50,41 @@ def subset_type_census(n: int, edges: list[tuple[int, int]]) -> dict[int, int]:
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise ValueError(f"bad edge ({u}, {v})")
-    acc = _walk_census(n, edges)
+    parent = list(range(n))
+    size = [1] * n
+    acc: dict[int, int] = {}
+    m = len(edges)
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def rec(ei, sign, key):
+        if ei == m:
+            acc[key] = acc.get(key, 0) + sign
+            return
+        u, v = edges[ei]
+        rec(ei + 1, sign, key)  # edge excluded
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            # cycle edge: component sizes unchanged, sign flips
+            rec(ei + 1, -sign, key)
+        else:
+            su, sv = size[ru], size[rv]
+            if su < sv:
+                ru, rv = rv, ru
+                su, sv = sv, su
+            parent[rv] = ru
+            size[ru] = su + sv
+            key2 = key + (1 << (FIELD_BITS * (su + sv - 1))) \
+                       - (1 << (FIELD_BITS * (su - 1))) \
+                       - (1 << (FIELD_BITS * (sv - 1)))
+            rec(ei + 1, -sign, key2)
+            parent[rv] = rv
+            size[ru] = su
+
+    rec(0, 1, n)  # empty subset: n singleton components
     return {key: c for key, c in acc.items() if c}
 
 
@@ -126,43 +160,4 @@ def _join(state, edge, keep):
     if keep is not None:
         out = {key: c for key, c in out.items() if keep(key)}
     return out
-
-
-def _walk_census(n, edges) -> dict[int, int]:
-    parent = list(range(n))
-    size = [1] * n
-    acc: dict[int, int] = {}
-    m = len(edges)
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def rec(ei, sign, key):
-        if ei == m:
-            acc[key] = acc.get(key, 0) + sign
-            return
-        u, v = edges[ei]
-        rec(ei + 1, sign, key)  # edge excluded
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            # cycle edge: component sizes unchanged, sign flips
-            rec(ei + 1, -sign, key)
-        else:
-            su, sv = size[ru], size[rv]
-            if su < sv:
-                ru, rv = rv, ru
-                su, sv = sv, su
-            parent[rv] = ru
-            size[ru] = su + sv
-            key2 = key + (1 << (FIELD_BITS * (su + sv - 1))) \
-                       - (1 << (FIELD_BITS * (su - 1))) \
-                       - (1 << (FIELD_BITS * (sv - 1)))
-            rec(ei + 1, -sign, key2)
-            parent[rv] = rv
-            size[ru] = su
-
-    rec(0, 1, n)  # empty subset: n singleton components
-    return acc
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from espider.csf import (DEFAULT_TREE_ORACLE_BOUND, _four_leg_coeff,
+from espider.csf import (DEFAULT_TREE_ORACLE_BOUND, coeff_four_leg,
                          coeff_three_two, three_two_key, tree_csf)
 from espider.graphs import Spider, Tree, spider_mod_type_info
 from espider.partitions import Partition
@@ -117,8 +117,7 @@ class CriterionReport(_Record):
             "name": self.name,
             "triggered": self.triggered,
             "witness": self.witness.to_json_obj() if self.witness else None,
-            "params": {k: (str(v) if isinstance(v, (Partition, Spider)) else v)
-                       for k, v in self.params.items()},
+            "params": dict(self.params),
         }
 
 
@@ -137,38 +136,13 @@ def mod_test(s: Spider, m: int) -> CriterionReport:
     return CriterionReport("mod", True, witness, params)
 
 
-class _LegTables(dict):
-    """What the criteria of one battery share about one spider: ``mod_test``
-    at each modulus, run once on first use (the dict itself), and the
-    suffix sums of the legs.  Build one per battery and drop it with the
-    battery: a longer-lived memo only grows."""
-
-    def __init__(self, s: Spider):
-        super().__init__()
-        self.s = s
-        self.legs = legs = s.legs.parts
-        tails = [0] * (s.d + 1)  # tails[i] = legs[i] + ... + legs[d - 1]
-        for i in range(s.d - 1, -1, -1):
-            tails[i] = tails[i + 1] + legs[i]
-        self.tails = tails
-
-    def __missing__(self, m: int) -> CriterionReport:
-        rep = self[m] = mod_test(self.s, m)
-        return rep
-
-
 def mod_test_scan(s: Spider) -> CriterionReport:
     """Residue-sum test over every modulus 2..n; first firing m reported."""
-    return _mod_test_scan(_LegTables(s))
-
-
-def _mod_test_scan(tab: _LegTables) -> CriterionReport:
-    n = tab.s.n
-    for m in range(2, n + 1):
-        rep = tab[m]
+    for m in range(2, s.n + 1):
+        rep = mod_test(s, m)
         if rep.triggered:
             return rep
-    return CriterionReport("mod", False, params={"scanned_m": f"2..{n}"})
+    return CriterionReport("mod", False, params={"scanned_m": f"2..{s.n}"})
 
 
 def qm_test(s: Spider, i: int | None = None, m: int | None = None) -> CriterionReport:
@@ -184,15 +158,11 @@ def qm_test(s: Spider, i: int | None = None, m: int | None = None) -> CriterionR
     i and m evaluates exactly that instantiation.  An i outside 2..d-1 or
     an m below 1 raises ValueError.
     """
-    return _qm_test(_LegTables(s), i, m)
-
-
-def _qm_test(tab: _LegTables, i: int | None = None,
-             m: int | None = None) -> CriterionReport:
-    d = tab.s.d
-    n = tab.s.n
-    legs = tab.legs
-    tails = tab.tails  # the tail after leg i (1-indexed) is tails[i]
+    d, n = s.d, s.n
+    legs = s.legs.parts
+    tails = [0] * (d + 1)  # the tail after leg i (1-indexed) is tails[i]
+    for k in range(d - 1, -1, -1):
+        tails[k] = tails[k + 1] + legs[k]
 
     def m_top(i):
         return max(1, -(-tails[i] // 2))
@@ -240,22 +210,17 @@ def six_leg(s: Spider) -> CriterionReport:
     scan.  Should both stay silent, the theorem itself is the witness, as
     inequality text.  The residue test is not rerun here: the battery has
     already reported it."""
-    return _six_leg(_LegTables(s))
-
-
-def _six_leg(tab: _LegTables) -> CriterionReport:
-    s = tab.s
     if s.d < 6:
         return CriterionReport("six_leg", False)
-    legs = tab.legs
+    legs = s.legs.parts
 
     m0 = (legs[1] + 1) // (legs[2] + 1)
     if m0 >= 1:
-        rep = _qm_test(tab, i=2, m=m0)
+        rep = qm_test(s, i=2, m=m0)
         if rep.triggered:
             return CriterionReport("six_leg", True, rep.witness,
                                    {**rep.params, "witness_path": "qm_fixed"})
-    rep = _qm_test(tab)
+    rep = qm_test(s)
     if rep.triggered:
         return CriterionReport("six_leg", True, rep.witness,
                                {**rep.params, "witness_path": "qm_scan"})
@@ -270,11 +235,6 @@ def four_leg_q(s: Spider) -> CriterionReport:
     """Four-leg test at m = sum of the two short legs, n = mq + m + r:
     q >= m forces either a missing block type or a negative coefficient at
     (m+r, m^q)."""
-    return _four_leg_q(_LegTables(s))
-
-
-def _four_leg_q(tab: _LegTables) -> CriterionReport:
-    s = tab.s
     if s.d != 4:
         return CriterionReport("four_leg_q", False)
     legs = s.legs.parts
@@ -283,11 +243,11 @@ def _four_leg_q(tab: _LegTables) -> CriterionReport:
     params = {"m": m, "q": q, "r": r}
     if q < m:
         return CriterionReport("four_leg_q", False, params=params)
-    rep = tab[m]
+    rep = mod_test(s, m)
     if rep.triggered:
         return CriterionReport("four_leg_q", True, rep.witness, params)
     # the type (m^(q+1), r) is present, so r > 0, and q >= m >= 2
-    key, value = _four_leg_coeff(m, q, r)
+    key, value = coeff_four_leg(s)
     if value >= 0:
         raise CriterionSoundnessError(
             f"four_leg_q on {s}: q={q} >= m={m} but coefficient at {key} "
@@ -372,9 +332,8 @@ def run_battery(g: Spider | Tree, mode: str = "criteria_only",
     if isinstance(g, Tree):
         reports = tree_battery(g)
     else:
-        tab = _LegTables(g)
-        reports = [_mod_test_scan(tab), _qm_test(tab), _six_leg(tab),
-                   _four_leg_q(tab), two_odd_legs(g)]
+        reports = [mod_test_scan(g), qm_test(g), six_leg(g), four_leg_q(g),
+                   two_odd_legs(g)]
     result = BatteryResult(str(g), reports,
                            False if any(r.triggered for r in reports) else None)
     if mode == "criteria_only":
@@ -436,5 +395,4 @@ def _spider_reports(legs: Partition) -> tuple[CriterionReport, ...]:
     """The missing-partition criteria on the spider with these legs, shared
     by every tree that reduces to it: copy a report, never mutate one."""
     sp = Spider(legs)
-    tab = _LegTables(sp)
-    return _mod_test_scan(tab), _qm_test(tab), _six_leg(tab)
+    return mod_test_scan(sp), qm_test(sp), six_leg(sp)

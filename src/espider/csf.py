@@ -105,28 +105,24 @@ def path_e_coefficient(n: int, lam: Partition) -> int:
     return total
 
 
-def path_csf(n: int) -> EExpansion:
-    """e-expansion of the n-vertex path, cached."""
-    if n < 1:
-        raise ValueError(f"paths need >= 1 vertex, got {n}")
-    return _path(n)
-
-
 @lru_cache(maxsize=None)
-def _path(n: int) -> EExpansion:
-    """The Shareshian-Wachs recurrence (their path generating function at
-    t = 1, Adv. Math. 295 (2016)):
+def path_csf(n: int) -> EExpansion:
+    """e-expansion of the n-vertex path, cached, by the Shareshian-Wachs
+    recurrence (their path generating function at t = 1, Adv. Math. 295
+    (2016)):
 
         X_{P_n} = e_n + sum_{i=2}^{n} (i-1) e_i X_{P_{n-i}},   X_{P_0} = 1.
     """
+    if n < 1:
+        raise ValueError(f"paths need >= 1 vertex, got {n}")
     acc = {pack((n,)): 1}
     for i in range(2, n + 1):
-        rest = _path(n - i).terms if i < n else UNIT
+        rest = path_csf(n - i).terms if i < n else UNIT
         add_product(acc, {pack((i,)): i - 1}, rest)
     return EExpansion.from_packed(n, acc)
 
 
-# Spider expansions by sorted leg tuple, process-wide like ``_path``:
+# Spider expansions by sorted leg tuple, process-wide like ``path_csf``:
 # entries are immutable and recomputation is idempotent, so each worker
 # process simply keeps its own.  Outside a spider census every spider is
 # kept.  In a census each entry carries in ``_reads_left`` the reads the
@@ -419,12 +415,6 @@ def coeff_four_leg(s: Spider) -> tuple[Partition, int]:
     if not info.has_type:
         raise ValueError(
             f"{s} has no connected partition of type ({m}^{q + 1}, {r})")
-    return _four_leg_coeff(m, q, r)
-
-
-def _four_leg_coeff(m: int, q: int, r: int) -> tuple[Partition, int]:
-    """``coeff_four_leg``'s key and value from m, q, r, its preconditions
-    already checked by the caller."""
     value = (m - 1) ** (q - 2) * (
         m ** 3 - m ** 2 * q + m ** 2 * r - 2 * m ** 2 - m * q * r + m * q + m + r)
     return Partition((m + r,) + (m,) * q), value

@@ -67,7 +67,7 @@ class Spider:
         length fits, because a path can be cut into arbitrary pieces)."""
         if typ.n != self.n:
             raise ValueError(f"type weight {typ.n} != vertex count {self.n}")
-        caps = self.legs.parts
+        caps = self.legs.parts  # weakly decreasing, as _pack needs
         items = list(typ.parts)
         seen = set()
         for idx, a in enumerate(items):
@@ -75,7 +75,7 @@ class Spider:
                 continue
             seen.add(a)
             rest = tuple(items[:idx] + items[idx + 1:])
-            if _pack(rest, 0, tuple(sorted(caps, reverse=True)), {}):
+            if _pack(rest, 0, caps, {}):
                 return True
         return False
 

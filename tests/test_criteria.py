@@ -7,7 +7,7 @@ from espider.criteria import (CriterionReport, CriterionSoundnessError,
                               Witness, four_leg_q, mod_test, mod_test_scan,
                               qm_test, run_battery, six_leg, tree_battery,
                               two_odd_legs)
-from espider.csf import OracleBoundError, spider_csf, tree_csf
+from espider.csf import OracleBoundError, coeff_four_leg, spider_csf, tree_csf
 from espider.graphs import (Spider, Tree, enumerate_spiders, enumerate_trees,
                             mn_tree, reduce_to_spider, spider_to_tree)
 from espider.partitions import Partition
@@ -127,7 +127,7 @@ def test_six_leg_examples():
 def test_six_leg_statement_fallback(monkeypatch):
     # with the block-size test silenced, the rule states its theorem; the
     # battery still reaches its verdict and re-checks the rest
-    monkeypatch.setattr(criteria, "_qm_test",
+    monkeypatch.setattr(criteria, "qm_test",
                         lambda *args, **kwargs: CriterionReport("qm", False))
     s = Spider([2, 2, 1, 1, 1, 1])
     rep = six_leg(s)
@@ -190,40 +190,27 @@ def test_battery_on_known_spiders():
     assert res.e_positive is None
 
 
-def test_battery_matches_criteria_one_by_one(monkeypatch):
-    # the battery shares one residue test per modulus among its criteria
-    asked = []
-    test = criteria.mod_test
-    monkeypatch.setattr(criteria, "mod_test",
-                        lambda s, m: asked.append(m) or test(s, m))
+def test_battery_matches_criteria_one_by_one():
+    # the battery is its criteria, each run on the spider alone, in order
     for n in range(2, 17):
         for s in enumerate_spiders(n):
-            asked.clear()
             battery = run_battery(s).reports
-            assert len(asked) == len(set(asked)), s
             alone = [mod_test_scan(s), qm_test(s), six_leg(s),
                      four_leg_q(s), two_odd_legs(s)]
             assert ([r.to_json_obj() for r in battery]
                     == [r.to_json_obj() for r in alone]), s
 
 
-def test_four_leg_coefficient_reuses_battery_residues(monkeypatch):
-    # the four-leg criterion reads its residue test from the battery's memo;
-    # the coefficient it then evaluates runs no residue test of its own
-    from espider import csf
-
-    calls = []
-    info = csf.spider_mod_type_info
-    monkeypatch.setattr(csf, "spider_mod_type_info",
-                        lambda s, m: calls.append((s, m)) or info(s, m))
-    negative = 0
-    for n in range(4, 21):
-        for s in enumerate_spiders(n):
-            rep = run_battery(s).reports[-2]
-            assert rep.name == "four_leg_q"
-            negative += (rep.triggered
-                         and rep.witness.kind == "negative_coefficient")
-    assert negative and calls == []
+def test_coeff_four_leg_refuses_q_below_two():
+    # S(1,1,1,1): m = 2, n = 5 = 2q + 2 + r with q = r = 1.  The closed
+    # form needs q >= 2 and refuses; four_leg_q, needing q >= m, stays
+    # silent before it reaches the coefficient.
+    s = Spider([1, 1, 1, 1])
+    with pytest.raises(ValueError):
+        coeff_four_leg(s)
+    rep = four_leg_q(s)
+    assert not rep.triggered
+    assert rep.params == {"m": 2, "q": 1, "r": 1}
 
 
 def test_batteries_share_no_reports():
