@@ -85,8 +85,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("verify", help="run the acceptance suite")
 
     sp = sub.add_parser("conjectures", help="check the open conjectures at small scale")
-    sp.add_argument("--max-m", type=int, default=2)
-    sp.add_argument("--max-n", type=int, default=12)
+    sp.add_argument("--max-m", type=int, default=2,
+                    help="largest m in the families S(2(2m+1),2m,1) and "
+                         "S(n(n!m+1),n!m,1), up to max(max-n, 40) vertices; "
+                         "0 skips the families")
+    sp.add_argument("--max-n", type=int, default=12,
+                    help="check the statements over every e-positive "
+                         "spider with at most this many vertices (at "
+                         "least 2)")
     common(sp, formats=())
     return p
 
@@ -392,6 +398,10 @@ def cmd_verify(args) -> int:
 
 def cmd_conjectures(args) -> int:
     bound = _check_bound(args.oracle_bound)
+    if args.max_n < 2:
+        raise ValueError(f"--max-n must be at least 2, got {args.max_n}")
+    if args.max_m < 0:
+        raise ValueError(f"--max-m must be at least 0, got {args.max_m}")
     bad = []
 
     def report(name, instance, holds):

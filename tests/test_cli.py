@@ -250,6 +250,25 @@ def test_census_workers_below_one_exit_2(capsys):
         assert "--workers must be at least 1" in captured.err
 
 
+@pytest.mark.parametrize("flag,value,floor", [
+    ("max-n", "1", 2), ("max-n", "-5", 2), ("max-m", "-1", 0)])
+def test_conjectures_bounds_below_floor_exit_2(capsys, flag, value, floor):
+    # a bound below the floor would check no statement and still report
+    # "no counterexamples"
+    code = cli.main(["conjectures", f"--{flag}", value])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"--{flag} must be at least {floor}" in captured.err
+
+
+def test_conjectures_max_m_zero_skips_the_families(capsys):
+    assert cli.main(["conjectures", "--max-m", "0", "--max-n", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "family" not in out
+    assert "e-positive spiders with n <= 4:" in out
+    assert out.endswith("no counterexamples\n")
+
+
 @pytest.mark.parametrize("flag,argv", [
     ("workers", ["census", "spiders", "4..5"]),
     ("oracle-bound", ["analyze", "S[1,1,1]"]),
