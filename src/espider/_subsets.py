@@ -15,8 +15,11 @@ Two algorithms compute it, and the caller picks by what it holds:
   child merges in across its edge, kept (the open blocks join, the sign
   flips) or cut (the child's open block closes), in one product; a leaf
   child, which has no state of its own, merges through one constant map
-  per walk.  The cost grows with the number of block-size types, not with
-  2^|E|.
+  per walk.  A merge costs the product of its two maps' sizes, which grow
+  with the number of block-size types in the subtrees merged, not with
+  2^|E|, so the cost grows with the largest merge: a ``graphs.Tree`` keeps
+  its order from a centroid, where no child's subtree holds more than n/2
+  vertices.
   Unsigned and pruned, it is ``graphs.has_connected_partition``.
 
 * Any other edge list (line graphs, forests, a repeated edge) takes

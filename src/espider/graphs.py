@@ -59,12 +59,20 @@ class Spider:
         text = text.strip()
         if not (text.startswith("S[") and text.endswith("]")):
             raise ValueError(f"cannot parse spider notation {text!r}")
-        return cls([int(tok) for tok in text[2:-1].split(",")])
+        body = text[2:-1]
+        try:  # no legs at all is left to the constructor to refuse
+            legs = [int(tok) for tok in body.split(",")] if body.strip() else []
+        except ValueError:
+            raise ValueError(f"cannot parse spider notation {text!r}: "
+                             "legs are comma-separated integers") from None
+        return cls(legs)
 
     def has_connected_partition(self, typ: Partition) -> bool:
         """Exact check via packing: one part is the center block, the rest
         must fit into the legs (any multiset summing to at most a leg's
-        length fits, because a path can be cut into arbitrary pieces)."""
+        length fits, because a path can be cut into arbitrary pieces).
+        A center block whose rest fails the counting bound is skipped
+        without a search."""
         if typ.n != self.n:
             raise ValueError(f"type weight {typ.n} != vertex count {self.n}")
         caps = self.legs.parts  # weakly decreasing, as _pack needs
@@ -75,9 +83,20 @@ class Spider:
                 continue
             seen.add(a)
             rest = tuple(items[:idx] + items[idx + 1:])
-            if _pack(rest, 0, caps, {}):
+            if _count_fits(rest, caps) and _pack(rest, 0, caps, {}):
                 return True
         return False
+
+
+def _count_fits(items, caps):
+    # A necessary condition for the packing: a leg of length c holds at most
+    # c // t parts of size t or more, so for each part size t the legs hold
+    # no more than sum(c // t) of the items (descending) that are >= t.
+    for i, t in enumerate(items):
+        last = i + 1 == len(items) or items[i + 1] != t
+        if last and sum(c // t for c in caps) <= i:
+            return False
+    return True
 
 
 def _pack(items, idx, caps, memo):
@@ -111,9 +130,10 @@ class Tree:
     """An unrooted tree on vertices 0..n-1 given by its edge set.
 
     It also keeps one rooted order, which every walk over it reads:
-    ``_order`` lists the vertices from the root 0, each after its
-    ``_parent`` (0 is its own), and ``_deg`` holds the degrees.  Which
-    order is kept is not observable."""
+    ``_order`` lists the vertices from a centroid (no branch at it holds
+    more than n/2 vertices), each after its ``_parent`` (the root is its
+    own), and ``_deg`` holds the degrees.  Which order is kept is not
+    observable."""
 
     __slots__ = ("n", "edges", "_order", "_parent", "_deg")
 
@@ -153,7 +173,8 @@ class Tree:
         # Internal fast path for a parents array with parents[v] < v for
         # every v > 0 (and parents[0] == 0): the tree
         # Tree(n, [(parents[v], v) for v in 1..n-1]) builds, without the
-        # checks, keeping these parents and the order 0..n-1.
+        # checks, from the order 0..n-1 and these parents, re-rooted at a
+        # centroid like the constructor's.
         n = len(parents)
         edge_set = frozenset([(parents[v], v) for v in range(1, n)])
         obj = object.__new__(cls)
@@ -161,8 +182,9 @@ class Tree:
         return obj
 
     def _set(self, n, edge_set, order, parent):
+        order, parent = _centroid_rooted(order, parent)
         deg = [1] * n
-        deg[0] = 0
+        deg[order[0]] = 0
         for v in order[1:]:
             deg[parent[v]] += 1
         object.__setattr__(self, "n", n)
@@ -209,11 +231,19 @@ class Tree:
         lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
         if not lines:
             raise ValueError("empty tree text")
-        n = int(lines[0])
+        try:
+            n = int(lines[0])
+        except ValueError:
+            raise ValueError(f"tree text line {lines[0]!r}: the first line "
+                             "is the vertex count, one integer") from None
         edges = []
         for ln in lines[1:]:
-            u, v = ln.split()
-            edges.append((int(u), int(v)))
+            try:
+                u, v = map(int, ln.split())
+            except ValueError:
+                raise ValueError(f"tree text line {ln!r}: an edge is two "
+                                 "integers") from None
+            edges.append((u, v))
         return cls(n, edges)
 
     def reductions(self) -> list[tuple[int, Spider]]:
@@ -240,6 +270,38 @@ class Tree:
         if self.n == 1 or len(hubs) > 1:
             return None
         return hubs[0][1] if hubs else Spider([self.n - 1])  # or a path
+
+
+def _centroid_rooted(order, parent):
+    """The same tree's rooted order from a centroid, as (order, parent)
+    tuples.
+
+    The centroid is the last vertex in ``order`` whose subtree holds more
+    than n/2 vertices: none of its children's subtrees does, and the rest
+    of the tree holds fewer than n/2.  Re-rooting flips the parent links on its path
+    up to the old root and lists that path first, then every other vertex
+    in its old place, still after its parent.  A walk over the order merges
+    at most n/2 vertices through any one edge, against up to n - 1 from an
+    end of a path."""
+    n = len(order)
+    size = [1] * n
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    centroid = next(v for v in reversed(order) if 2 * size[v] > n)
+    root = order[0]
+    if centroid == root:
+        return tuple(order), tuple(parent)
+    parent = list(parent)
+    path = [centroid]
+    v, up = centroid, parent[centroid]
+    parent[centroid] = centroid
+    while v != root:
+        up_next = parent[up]
+        parent[up] = v
+        v, up = up, up_next
+        path.append(v)
+    on_path = set(path)
+    return tuple(path + [v for v in order if v not in on_path]), tuple(parent)
 
 
 class SimpleGraph:
@@ -486,7 +548,9 @@ def enumerate_trees(n: int) -> Iterator[Tree]:
     lexicographic order; the sequences come in decreasing order, so one
     whose height is below its diameter is never first and is skipped.  The
     canonical form comes from the sequence itself, and a ``Tree`` is built,
-    unchecked, only for each class's representative as it is yielded."""
+    unchecked, only for each class's representative as it is yielded; it
+    keeps the representative's labels but re-roots its order at a
+    centroid."""
     if not 1 <= n <= MAX_TREE_N:
         raise ValueError(f"n must be in 1..{MAX_TREE_N}, got {n}")
     seen = {}

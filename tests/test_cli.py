@@ -65,6 +65,33 @@ def test_analyze_tree_input_errors(capsys, tmp_path):
     assert code == 2 and "twice" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("text,line", [
+    ("3\n0 1\n1 2 5\n", "'1 2 5': an edge is two integers"),
+    ("3\n0 1\n1\n", "'1': an edge is two integers"),
+    ("3\n0 1\n1 b\n", "'1 b': an edge is two integers"),
+    ("three\n0 1\n1 2\n", "'three': the first line is the vertex count"),
+])
+def test_analyze_names_the_bad_tree_line(capsys, tmp_path, text, line):
+    f = tmp_path / "bad.txt"
+    f.write_text(text)
+    code = cli.main(["analyze", str(f)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: tree text line {line}")
+
+
+@pytest.mark.parametrize("target,message", [
+    ("S[]", "a spider needs at least one leg"),
+    ("S[1,,2]", "cannot parse spider notation 'S[1,,2]': legs are "
+                "comma-separated integers"),
+])
+def test_analyze_malformed_spider_says_why(capsys, target, message):
+    code = cli.main(["analyze", target])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_analyze_json_schema(capsys):
     code, out = run_cli(capsys, "analyze", "S[1,1,1]", "--format", "json")
     assert code == 1
@@ -602,22 +629,30 @@ sys.exit(espider.cli.main(["verify"]))
 # degree_bound reports and variety_1's "weak": false param taken out; and
 # re-pinned when the variety conditions left it, to the older output with
 # the six variety_* reports taken out
-# (test id, census arguments, sha256 of its json output); the criteria_only
-# tree census stamps every reduced spider of every tree up to n = 12
+# (test id, census arguments, sha256 of its output); the criteria_only
+# tree census stamps every reduced spider of every tree up to n = 12, and
+# the csv tree census pins the degree column and the witnesses of every
+# tree up to n = 12, as taken before trees were rooted at a centroid
 CENSUS_DIGESTS = [
-    ("spiders", ("spiders", "4..14", "--mode", "with_expansion"),
+    ("spiders", ("spiders", "4..14", "--mode", "with_expansion",
+                 "--format", "json"),
      "35de2862b4e06d7ba8ac14c84189ee8a45ae1dca894968207841e5532def94f0"),
-    ("trees", ("trees", "4..10", "--mode", "with_expansion"),
+    ("trees", ("trees", "4..10", "--mode", "with_expansion",
+               "--format", "json"),
      "06a5c41b0dcc7901dc92a786a1472e863a4869693933ee86a21861340d7b7566"),
-    ("trees-criteria_only", ("trees", "4..12", "--mode", "criteria_only"),
+    ("trees-criteria_only", ("trees", "4..12", "--mode", "criteria_only",
+                             "--format", "json"),
      "fe0cc6b4e9acac04ada42d8beee7dc09d10426d3353569210e307e3953f06047"),
+    ("trees-csv", ("trees", "4..12", "--mode", "with_expansion",
+                   "--format", "csv"),
+     "e866cb3db7f73682e772dc719231203a080ae5f163a2e4627971eda178504ba9"),
 ]
 
 
 @pytest.mark.parametrize("census,digest", [c[1:] for c in CENSUS_DIGESTS],
                          ids=[c[0] for c in CENSUS_DIGESTS])
 def test_census_json_is_byte_identical_to_pin(capsys, census, digest):
-    code, out = run_cli(capsys, "census", *census, "--format", "json")
+    code, out = run_cli(capsys, "census", *census)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -184,7 +184,8 @@ def test_subtree_reduction_preserves_missing_types():
 
 def _relabelled(t, rng):
     """t under a random permutation of its vertices, through the checked
-    constructor, so its walk starts elsewhere in the tree."""
+    constructor, so its order comes from that constructor's own walk over
+    other labels."""
     perm = list(range(t.n))
     rng.shuffle(perm)
     return perm, Tree(t.n, [(perm[u], perm[v]) for u, v in t.edges])
@@ -335,20 +336,25 @@ def test_enumerate_trees_deterministic():
 
 def test_enumerated_trees_match_the_checked_constructor():
     # the representatives are built without the constructor's checks, and
-    # keep the enumerator's order in place of the constructor's walk; each
-    # must be the tree the checked constructor builds from its edges, with
-    # the same degrees and reductions, and its order must put every vertex
+    # re-root the enumerator's order in place of the constructor's walk;
+    # each must be the tree the checked constructor builds from its edges,
+    # with the same reductions, and in both the degrees must be the edge
+    # counts and the order must start at a centroid and put every vertex
     # after its parent
     for n in range(1, 11):
         for t in enumerate_trees(n):
             checked = Tree(n, sorted(t.edges))
             assert t == checked
-            assert [t.degree(v) for v in range(n)] == \
-                [checked.degree(v) for v in range(n)], t
             assert t.reductions() == checked.reductions(), t
+            incident = [sum(v in e for e in t.edges) for v in range(n)]
             for tree in (t, checked):
+                assert [tree.degree(v) for v in range(n)] == incident, tree
+                root = tree._order[0]
                 assert sorted(tree._order) == list(range(n))
-                assert tree._order[0] == tree._parent[tree._order[0]]
+                assert root == tree._parent[root]
+                assert all(2 * size <= n for size in
+                           component_sizes_without(n, sorted(tree.edges),
+                                                   root)), tree
                 place = {v: i for i, v in enumerate(tree._order)}
                 for v in tree._order[1:]:
                     p = tree._parent[v]

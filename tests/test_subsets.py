@@ -14,11 +14,33 @@ def subset_type_census(n, edges):
     return {unpack(k): c for k, c in _subsets.subset_type_census(n, edges).items()}
 
 
-def tree_census(t, sign=-1):
-    """The rooted walk over a tree's own order, read back the same way,
-    without the entries that cancel to zero."""
-    census = _subsets.rooted_census(t._order, t._parent, sign)
+def walk(order, parent, sign=-1):
+    """The rooted walk over an order, read back the same way, without the
+    entries that cancel to zero."""
+    census = _subsets.rooted_census(order, parent, sign)
     return {unpack(k): c for k, c in census.items() if c}
+
+
+def tree_census(t, sign=-1):
+    """The walk over a tree's own order."""
+    return walk(t._order, t._parent, sign)
+
+
+def rooted_at(t, root):
+    """(order, parent) of t rooted at ``root``, by a walk out from it."""
+    adj = [[] for _ in range(t.n)]
+    for u, v in t.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    parent = [-1] * t.n
+    parent[root] = root
+    order = [root]
+    for x in order:
+        for y in adj[x]:
+            if parent[y] == -1:
+                parent[y] = x
+                order.append(y)
+    return order, parent
 
 
 def test_no_edges():
@@ -37,7 +59,9 @@ def test_triangle_has_cycle_edges():
 
 def test_trees_match_naive_oracle():
     # each enumerated tree, and a copy relabelled v -> v + 1 (mod n) that
-    # the constructor roots at another vertex, so its walk runs differently
+    # the checked constructor builds: both walk from a centroid, but the
+    # copy's order comes from its own walk out from vertex 0 and lists
+    # other labels
     for n in range(1, 12):
         for t in enumerate_trees(n):
             naive = naive_subset_census(n, sorted(t.edges))
@@ -46,6 +70,28 @@ def test_trees_match_naive_oracle():
                 assert (u._order, u._parent) != (t._order, t._parent), t
             assert tree_census(t) == naive, t
             assert tree_census(u) == naive, u
+
+
+def test_walk_from_every_root():
+    # a tree keeps its order from a centroid; the walk must give the same
+    # census from any root: signed, unsigned and pruned to each type
+    for n in range(1, 9):
+        for t in enumerate_trees(n):
+            edges = sorted(t.edges)
+            signed = naive_subset_census(n, edges)
+            plain = naive_subset_census(n, edges, sign=1)
+            present = connected_partition_types(n, edges)
+            for root in range(n):
+                order, parent = rooted_at(t, root)
+                assert walk(order, parent) == signed, (t, root)
+                assert walk(order, parent, 1) == plain, (t, root)
+                for typ in partitions_of(n):
+                    pruned = _subsets.rooted_census(
+                        order, parent, 1, _subsets.fits_in(typ.parts))
+                    assert pruned.get(pack(typ.parts), 0) == \
+                        plain.get(typ.parts, 0), (t, root, typ)
+                    assert bool(pruned.get(pack(typ.parts))) == \
+                        (typ.parts in present), (t, root, typ)
 
 
 def test_unsigned_walk_counts_subsets_by_type():
