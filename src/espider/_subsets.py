@@ -35,6 +35,8 @@ integer addition, and the census comes out keyed the way expansions are.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from espider.partitions import FIELD_BITS, MAX_PACKED_WEIGHT
 from espider.symfunc import add_product
 
@@ -114,10 +116,12 @@ def rooted_census(order, parent, sign=-1, keep=None) -> dict[int, int]:
     return {key >> FIELD_BITS: c for key, c in root.items()}
 
 
+@lru_cache(maxsize=4096)
 def fits_in(parts):
     """A ``keep`` test for the walk: it passes a state whose open block is
-    no larger than the largest of ``parts`` (weakly decreasing) and whose
-    closed blocks are a sub-multiset of them."""
+    no larger than the largest of ``parts`` (weakly decreasing tuple) and
+    whose closed blocks are a sub-multiset of them.  Cached by ``parts``, so
+    each type builds its test once."""
     bounds = [parts[0]] + [0] * sum(parts)  # open size, count of each size
     for p in parts:
         bounds[p] += 1

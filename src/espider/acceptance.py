@@ -69,14 +69,20 @@ def check_path_formula():
 
 
 def check_engine_equivalence():
-    """2. spider_csf equals csf_oracle term-for-term, all spiders with at
-    most 13 vertices (covering the 77 leg shapes on 13)."""
+    """2. The leg-unhooking engine equals csf_oracle term-for-term: all
+    spiders with at most 13 vertices (covering the 77 leg shapes on 13), and
+    all trees with at most 11."""
     count = 0
     for n in range(2, 14):
         for s in enumerate_spiders(n):
             assert spider_csf(s) == csf_oracle(s), s
             count += 1
-    return f"{count} spiders agree"
+    trees = 0
+    for n in range(1, 12):
+        for t in enumerate_trees(n):
+            assert tree_csf(t) == csf_oracle(t), t
+            trees += 1
+    return f"{count} spiders and {trees} trees agree"
 
 
 KNOWN_E_POSITIVE = [
@@ -278,14 +284,14 @@ MN_NEGATIVE = (10, 11)
 
 def check_mn_example():
     """13. The two-leaf path family: e-positive for n in {1,2,4,5,7,8},
-    not for n in {10,11} (exact oracle expansion, up to 25 vertices); the
-    reduced spiders S(n+2,n-1,1) are not e-positive for n in {2,4,5,8}."""
-    for n in MN_E_POSITIVE:
-        X = tree_csf(mn_tree(n), max_n=25)
-        assert X.is_e_positive(), f"M_{n}"
-    for n in MN_NEGATIVE:
-        X = tree_csf(mn_tree(n), max_n=25)
-        assert not X.is_e_positive(), f"M_{n}"
+    not for n in {10,11} (leg-unhooking expansion, equal to the oracle's,
+    up to 25 vertices); the reduced spiders S(n+2,n-1,1) are not e-positive
+    for n in {2,4,5,8}."""
+    for n in MN_E_POSITIVE + MN_NEGATIVE:
+        t = mn_tree(n)
+        X = tree_csf(t)
+        assert X == csf_oracle(t, max_n=25), f"M_{n}"
+        assert X.is_e_positive() == (n in MN_E_POSITIVE), f"M_{n}"
     for n in (2, 4, 5, 8):
         s = Spider([n + 2, n - 1, 1])
         assert not spider_csf(s).is_e_positive(), s

@@ -8,7 +8,8 @@ only; nothing is written to disk.
 Flags are the only configuration.  ``--oracle-bound`` is one expansion
 bound for spiders and trees alike: ``analyze`` and ``census`` default it to
 20 vertices, ``expand`` applies it to every engine when given and
-otherwise leaves the spider engine unbounded.
+otherwise leaves the leg-unhooking engine, spiders and trees alike,
+unbounded.
 
 Exit codes for ``analyze``: 0 e-positive or unknown, 1 proven not
 e-positive, 2 input error (an expansion the mode asks for beyond the size
@@ -25,8 +26,8 @@ from itertools import islice
 
 from espider.criteria import MODES, BatteryResult, run_battery
 from espider.csf import (DEFAULT_TREE_ORACLE_BOUND, MIN_ORACLE_BOUND,
-                         OracleBoundError, _census_top, csf_oracle,
-                         spider_csf, tree_csf)
+                         OracleBoundError, _census_top, _tree_census,
+                         csf_oracle, spider_csf, tree_csf)
 from espider.graphs import (MAX_TREE_N, Spider, Tree, enumerate_spiders,
                             enumerate_trees, line_graph, spider_to_tree)
 from espider.partitions import Partition
@@ -72,13 +73,16 @@ def build_parser() -> argparse.ArgumentParser:
                     help="restrict spiders to exactly this many legs")
     sp.add_argument("--workers", type=int, default=1,
                     help="worker processes, each with its own expansion "
-                         "memo; rows come out in the serial order.  A "
-                         "spider census gains little: chunks scatter the "
-                         "census order, so each worker recomputes spiders "
-                         "another worker's memo holds; at 4..22 with "
-                         "expansion two workers take about the serial "
-                         "time, 2.4 times its products, and 1.4 to 1.5 "
-                         "times its peak memory each")
+                         "memos, a tree census's memo of every tree it "
+                         "expands included; rows come out in the serial "
+                         "order.  A census gains little: chunks scatter "
+                         "the census order, so each worker recomputes "
+                         "expansions another worker's memo holds.  With "
+                         "expansion, two workers take about nine tenths of "
+                         "the serial time at trees 4..14, and at spiders "
+                         "4..22 about the serial time, 2.4 times its "
+                         "products, and 1.4 to 1.5 times its peak memory "
+                         "each")
     sp.add_argument("--resume", help="journal file for resumable runs")
     common(sp, mode=True)
 
@@ -195,9 +199,10 @@ def _census_items(kind, lo, hi, legs):
 _WORKER_STATE = {}
 
 
-def _census_init(mode, bound, criteria, top, legs):
+def _census_init(mode, bound, criteria, top, legs, trees):
     _WORKER_STATE.update(mode=mode, bound=bound, criteria=criteria)
     _census_top(top, legs)
+    _tree_census(trees)
 
 
 def _census_one(g):
@@ -334,7 +339,7 @@ def cmd_census(args) -> int:
     if args.kind == "spiders":
         top = min(hi, DEFAULT_TREE_ORACLE_BOUND if bound is None else bound)
     state = (args.mode, bound, bool(journal) or args.format == "json", top,
-             legs)
+             legs, args.kind == "trees")
     if args.workers > 1:
         # imported here: only a parallel census needs it, and it adds to
         # every start-up's time and memory
@@ -357,6 +362,7 @@ def cmd_census(args) -> int:
             _print_census_row(row, args.format)
     finally:
         _census_top(None)  # later calls in this process memoize every spider
+        _tree_census(False)  # and free the census's trees
     if pool:
         pool.close()
         pool.join()

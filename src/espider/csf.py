@@ -7,7 +7,8 @@ Two independent routes to the e-basis expansion of X_G:
   elementary basis.  Spiders and trees take a rooted dynamic program over
   the tree's own rooted order, a ``SimpleGraph`` a walk over every edge
   subset; both are exact, and everything else is checked against this
-  route.
+  route.  No tree expansion runs it: it serves ``expand --oracle``,
+  ``SimpleGraph``s, the tests and the acceptance suite's checks.
 
 * ``spider_csf`` unhooks the shortest leg of a spider one edge at a time
   by the Orellana-Scott identity (Discrete Math. 320 (2014))
@@ -26,18 +27,28 @@ Two independent routes to the e-basis expansion of X_G:
   below the top size took 193 MB.  Library calls memoize every spider.
   Comfortably reaches spiders far beyond oracle scale.
 
+* ``tree_csf`` expands every tree by the same identity, at a hub whose
+  branches are all bare paths but one, summed over the edges of its
+  shorter pendant path (``_tree_csf``); the trees it leads to have a leaf
+  fewer, and the recursion ends in spiders and paths.  A tree census keeps
+  every tree it expands, compactly, until it ends (``_TreeMemo``); with no
+  bound given, a tree, like a spider, is expanded at any size.
+
 Closed-form coefficient extractors for special keys ((m^q), (2^{n/2}),
 (3, 2^k), and the four-leg (m+r, m^q)) live here too.
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
+from itertools import compress, repeat
 
 from espider._subsets import rooted_census, subset_type_census
-from espider.graphs import (Spider, SimpleGraph, Tree, spider_mod_type_info,
+from espider.graphs import (Spider, SimpleGraph, Tree, TreeKeys,
+                            _centroid_rooted, spider_mod_type_info,
                             spider_to_tree)
-from espider.partitions import Partition, multinomial, pack
+from espider.partitions import Partition, multinomial, pack, partitions_of
 from espider.symfunc import UNIT, EExpansion, PExpansion, add_product
 
 DEFAULT_TREE_ORACLE_BOUND = 20
@@ -321,20 +332,140 @@ def _computes(census: _Census, legs: tuple[int, ...]) -> bool:
 
 
 def tree_csf(t: Spider | Tree, max_n: int | None = None) -> EExpansion:
-    """e-expansion of a spider or tree, the one place the expansion bound
-    is applied: a graph with more than ``max_n`` vertices is refused before
-    any engine runs.  Paths and spiders, given as such or as trees, go to
-    the leg-unhooking engine, other trees to the oracle (whose own default
-    bound and hard caps still apply)."""
+    """e-expansion of a spider or tree by leg-unhooking, the one place the
+    expansion bound is applied: a graph with more than ``max_n`` vertices is
+    refused before the engine runs; with no bound, none applies.  A tree
+    census keeps every tree it expands in one memo (``_tree_census``); any
+    other call keeps the trees it meets only while it runs."""
     if max_n is not None and t.n > max_n:
         raise OracleBoundError(
             f"{t.n} vertices exceeds the expansion bound {max_n}")
-    if t.n == 1:
-        return EExpansion.single((1,))
-    sp = t if isinstance(t, Spider) else t.as_spider()
-    if sp is not None:
-        return spider_csf(sp)
-    return csf_oracle(t, max_n=max_n)
+    if isinstance(t, Spider):
+        return spider_csf(t)
+    return _tree_csf(t._order, t._parent,
+                     _trees if _trees is not None else _TreeMemo())
+
+
+class _TreeMemo:
+    """Expansions of the trees met, by ``TreeKeys`` key.  Each is stored as
+    an int64 array over the partitions of its degree in one fixed order, or,
+    when a coefficient does not fit, as the expansion itself.  A tree's
+    expansion has 78% to 83% of the partitions as terms at n = 10 to 14, so
+    few slots hold zeros, and an array takes a fraction of a dict's
+    memory."""
+
+    __slots__ = ("key", "entries", "slots")
+
+    def __init__(self):
+        self.key = TreeKeys()
+        self.entries: dict = {}
+        self.slots: dict[int, list[int]] = {}  # packed keys, by degree
+
+    def read(self, key, n: int) -> EExpansion | None:
+        entry = self.entries.get(key)
+        if entry is None or isinstance(entry, EExpansion):
+            return entry
+        return EExpansion.from_packed(
+            n, dict(compress(zip(self.slots[n], entry), entry)))
+
+    def write(self, key, total: EExpansion) -> None:
+        n = total.degree
+        keys = self.slots.get(n)
+        if keys is None:
+            keys = self.slots[n] = [pack(p.parts) for p in partitions_of(n)]
+        try:
+            self.entries[key] = array("q", map(total.terms.get, keys,
+                                               repeat(0)))
+        except OverflowError:
+            self.entries[key] = total
+
+
+# The memo of the running tree census, or None outside one.
+_trees: _TreeMemo | None = None
+
+
+def _tree_census(active: bool) -> None:
+    """Tell the engine that a tree census starts (True) or ends (False) in
+    this process: the census keeps every tree it expands, for its later
+    trees to read, and frees them all when it ends."""
+    global _trees
+    _trees = _TreeMemo() if active else None
+
+
+def _tree_csf(order, parent, memo: _TreeMemo) -> EExpansion:
+    """e-expansion of the tree whose vertices ``order`` lists from a
+    centroid, each after its ``parent``.
+
+    A path or spider goes to ``_spider_csf``.  Any other tree has a hub v
+    (a vertex of degree >= 3) whose branches are all bare paths but one: a
+    leaf of the subtree its hubs span.  With pendant paths of a >= b
+    vertices at v, and T(x, y) the tree with pendant paths of x and y
+    vertices there in their place, the spider step summed over the b edges
+    of the short path reads
+
+        X[T(a, b)] = X[T(a+b, 0)]
+                     + sum_{i=1}^{b} (X[T(a+b-i, 0)] P_i - X[T(i-1, 0)] P_{a+b-i+1}),
+
+    and every tree on the right has a leaf fewer.  A hub of degree 3 goes
+    first, as it leaves the trees on the right with a hub fewer (so a
+    two-hub tree leads straight to spiders), then the one with the
+    shortest pendant path, which costs the fewest products.  Trees are
+    memoized in ``memo`` by their canonical key."""
+    n = len(order)
+    root = order[0]
+    size = [1] * n
+    kids = [0] * n
+    chain = [1] * n  # vertices of the bare path v heads, 0 if v heads none
+    for v in reversed(order[1:]):
+        p = parent[v]
+        size[p] += size[v]
+        chain[p] = 0 if kids[p] else chain[v] and chain[v] + 1
+        kids[p] += 1
+    hubs = {v: [] for v in order if kids[v] + (v != root) >= 3}
+    if len(hubs) <= 1:  # the legs at the hub are the sizes of its branches
+        legs = [size[v] for v in order[1:] if parent[v] in hubs]
+        if hubs and root not in hubs:
+            legs.append(n - size[next(iter(hubs))])
+        return _spider_csf(tuple(legs) if hubs else (n - 1,))
+    key = memo.key.rooted(order, parent)
+    hit = memo.read(key, n)
+    if hit is not None:
+        return hit
+    for v in order[1:]:
+        if parent[v] in hubs:
+            hubs[parent[v]].append(v)
+    best = None
+    for v, below in hubs.items():
+        paths = sorted((chain[w], w) for w in below if chain[w])
+        if len(paths) >= len(below) - (v == root) and len(paths) >= 2:
+            rank = (kids[v] + (v != root) != 3, paths[0][0])
+            if best is None or rank < best[0]:
+                best = rank, v, paths[-1], paths[0]
+    _, hub, (a, wa), (b, wb) = best
+    # the rest of the tree, relabelled in order, each after its parent
+    gone = {wa, wb}
+    rest = []
+    for v in order:
+        if v in gone or parent[v] in gone:
+            gone.add(v)
+        else:
+            rest.append(v)
+    label = {v: i for i, v in enumerate(rest)}
+    core = [label[parent[v]] for v in rest]
+    at, m = label[hub], len(rest)
+
+    def sub(x):
+        # T(x, 0): the rest with a path of x vertices hung at the hub
+        par = core + [at] + list(range(m, m + x - 1)) if x else core
+        return _tree_csf(*_centroid_rooted(range(m + x), par), memo).terms
+
+    acc = dict(sub(a + b))
+    for i in range(1, b + 1):
+        add_product(acc, sub(a + b - i), path_csf(i).terms)
+        add_product(acc, sub(i - 1), path_csf(a + b - i + 1).terms, -1)
+    total = EExpansion.from_packed(n, acc)
+    memo.write(key, total)
+    return total
 
 
 # ---------------------------------------------------------------------------

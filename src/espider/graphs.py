@@ -261,15 +261,59 @@ class Tree:
             legs[v].append(n - size[v])
         return [(v, Spider(legs[v])) for v in range(n) if self._deg[v] >= 3]
 
-    def as_spider(self) -> Spider | None:
-        """The Spider this tree is, or None.
 
-        A path on k+1 >= 2 vertices is reported as the one-leg spider S(k).
-        """
-        hubs = self.reductions()
-        if self.n == 1 or len(hubs) > 1:
-            return None
-        return hubs[0][1] if hubs else Spider([self.n - 1])  # or a path
+class TreeKeys:
+    """Canonical keys of trees: two trees get equal keys exactly when they
+    are isomorphic.
+
+    Every rooted tree met gets an int id, interned by the sorted ids of the
+    subtrees at its root, so one reverse pass over a rooted order reads the
+    id of the tree rooted at its first vertex.  A tree with one centroid is
+    keyed by its id rooted there; a tree with two (an edge that splits it
+    into halves) by the pair of its halves' ids.  Ids mean
+    something only within one ``TreeKeys``, which keeps every rooted tree it
+    has met."""
+
+    __slots__ = ("_ids", "_sizes")
+
+    def __init__(self):
+        self._ids = {(): 0}  # the one-vertex tree
+        self._sizes = [1]  # vertices of each rooted tree, by id
+
+    def __call__(self, t: Tree) -> int | tuple[int, int]:
+        return self.rooted(t._order, t._parent)
+
+    def rooted(self, order, parent) -> int | tuple[int, int]:
+        """The key of the tree whose vertices ``order`` lists from a
+        centroid, each after its ``parent``, as a ``Tree`` keeps them."""
+        below = {}  # the ids of each vertex's subtrees seen so far
+        for v in reversed(order[1:]):
+            kids = below.pop(v, None)
+            cid = 0 if kids is None else self._intern(kids)
+            p = parent[v]
+            if p in below:
+                below[p].append(cid)
+            else:
+                below[p] = [cid]
+        kids = below.get(order[0], [])
+        n = len(order)
+        if not n % 2:
+            sizes = self._sizes
+            for i, cid in enumerate(kids):
+                if 2 * sizes[cid] == n:  # the second centroid's half
+                    other = self._intern(kids[:i] + kids[i + 1:])
+                    return (cid, other) if cid < other else (other, cid)
+        return self._intern(kids)
+
+    def _intern(self, kids: list[int]) -> int:
+        kids.sort()
+        kids = tuple(kids)
+        cid = self._ids.get(kids)
+        if cid is None:
+            sizes = self._sizes
+            cid = self._ids[kids] = len(sizes)
+            sizes.append(1 + sum(sizes[k] for k in kids))
+        return cid
 
 
 def _centroid_rooted(order, parent):

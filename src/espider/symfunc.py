@@ -10,8 +10,8 @@ the API: the public constructor, ``items``, ``coefficient``,
 
 The power-sum to elementary conversion stays integral, so any rational
 would be a bug and is never representable here.  Each power-sum monomial's
-e-row is built once per process by the Newton recurrence
-(``p_monomial_in_e``) and kept under its packed p-key, also packed into one
+e-row is built once per process, as a product of the Newton recurrence's
+``p_in_e`` rows, and kept under its packed p-key, also packed into one
 int by Kronecker substitution: fixed-width signed slots, one per e-key of
 the degree, in an append-only slot order.  ``PExpansion.to_e`` picks the
 slot width from a bound on the result's coefficients, sums ``coeff * row``
@@ -26,7 +26,8 @@ from functools import lru_cache
 from math import comb
 from operator import mul
 
-from espider.partitions import MAX_PACKED_WEIGHT, Partition, pack, unpack
+from espider.partitions import (FIELD_BITS, MAX_PACKED_WEIGHT, Partition, pack,
+                                unpack)
 
 # The packed terms of the empty product, 1 = e_() = p_().
 UNIT = {0: 1}
@@ -215,24 +216,43 @@ class PExpansion(_Expansion):
     def to_e(self) -> EExpansion:
         """Exact elementary-basis expansion of the same function."""
         keys, slot = _E_SLOTS.setdefault(self.degree, ([], {}))
-        rows = []
-        bound = 0
-        for key, coeff in self.terms.items():
-            row = _E_ROWS.get(key)
-            if row is None:
-                terms = p_monomial_in_e(unpack(key)).terms
-                top = max(max(terms.values()), -min(terms.values()))
-                width = _slot_width(top)
-                row = _E_ROWS[key] = [terms, top, width,
-                                      _pack_row(terms, keys, slot, width)]
-            rows.append(row)
-            bound += abs(coeff) * row[1]
+        # The rows still missing.  One that is a row kept from an earlier
+        # conversion times one or two power sums costs that many products.
+        # The others are built by one depth-first walk over their parts in
+        # sorted order: a prefix product lives only while the walk is below
+        # it, so the rows' shared prefixes are not kept, and a prefix that
+        # is a kept row is read, not multiplied.
+        path = [((), EExpansion.single(()), 0)]
+        for parts, key in sorted((unpack(key), key) for key in self.terms
+                                 if key not in _E_ROWS):
+            product, extra = _kept_base(parts, key)
+            if product is not None:
+                for part in extra:
+                    product = product * p_in_e(part)
+            else:
+                while parts[:len(path[-1][0])] != path[-1][0]:
+                    path.pop()
+                prefix, product, at = path[-1]
+                for i in range(len(prefix), len(parts)):
+                    at += 1 << FIELD_BITS * (parts[i] - 1)  # pack(parts[:i+1])
+                    row = _E_ROWS.get(at)
+                    product = (product * p_in_e(parts[i]) if row is None
+                               else row[0])
+                    path.append((parts[:i + 1], product, at))
+            terms = product.terms
+            top = max(max(terms.values()), -min(terms.values()))
+            width = _slot_width(top)
+            _E_ROWS[key] = [product, top, width,
+                            _pack_row(terms, keys, slot, width)]
+        rows = [_E_ROWS[key] for key in self.terms]
+        bound = sum(abs(coeff) * row[1]
+                    for coeff, row in zip(self.terms.values(), rows))
         # bound caps every coefficient of the result, so one width serves
         # the whole sum; a row stored at another width is packed again
         width = _slot_width(bound)
         for row in rows:
             if row[2] != width:
-                row[2:] = width, _pack_row(row[0], keys, slot, width)
+                row[2:] = width, _pack_row(row[0].terms, keys, slot, width)
         total = sum(map(mul, self.terms.values(), [row[3] for row in rows]))
         return EExpansion.from_packed(self.degree,
                                       _unpack_sum(total, keys, width))
@@ -245,10 +265,24 @@ class PExpansion(_Expansion):
 _E_SLOTS: dict[int, tuple[list[int], dict[int, int]]] = {}
 
 # The e-row of each power-sum monomial met so far, keyed by its packed
-# p-key: [terms, max |coefficient|, slot width W, the row packed at W].
-# ``terms`` is the dict that ``p_monomial_in_e`` caches, so the row is built
-# once and stored as a dict once.
+# p-key: [its EExpansion, max |coefficient|, slot width W, the row packed
+# at W].
+# Only the rows are kept, not the prefix products that built them: on the
+# 25-vertex M_11 those took more memory than the rows themselves.
 _E_ROWS: dict[int, list] = {}
+
+
+def _kept_base(parts: tuple[int, ...], key: int):
+    """A kept row that the monomial ``parts`` (packed ``key``) extends by
+    one power sum, or else by two, with those parts; or (None, ())."""
+    distinct = sorted(set(parts))
+    pairs = [(p, q) for i, p in enumerate(distinct) for q in distinct[i:]
+             if p != q or parts.count(p) > 1]
+    for extra in [(p,) for p in distinct] + pairs:
+        row = _E_ROWS.get(key - sum(1 << FIELD_BITS * (p - 1) for p in extra))
+        if row is not None:
+            return row[0], extra
+    return None, ()
 
 
 def _slot_width(bound: int) -> int:
@@ -317,7 +351,9 @@ def p_in_e(k: int) -> EExpansion:
 
 @lru_cache(maxsize=None)
 def p_monomial_in_e(parts: tuple[int, ...]) -> EExpansion:
-    """The product p_{parts[0]} p_{parts[1]} ... in the elementary basis."""
+    """The product p_{parts[0]} p_{parts[1]} ... in the elementary basis,
+    cached with every prefix; ``PExpansion.to_e`` builds its rows without
+    it, keeping none of their prefixes."""
     if not parts:
         return EExpansion.single(())
     if len(parts) == 1:

@@ -8,9 +8,11 @@ import sys
 import pytest
 
 from espider import acceptance, cli
+from espider import csf as csf_module
 from espider.criteria import MODES, mod_test
 from espider.graphs import Spider, Tree, mn_tree, spider_to_tree
 from espider.partitions import Partition
+from espider.symfunc import EExpansion
 
 from test_csf import empty_memo
 
@@ -152,6 +154,22 @@ def test_one_expansion_bound_for_spiders_and_trees(capsys, tmp_path):
     assert code == 2 and out == ""
     code, out = run_cli(capsys, "expand", "S[4,2,2]")
     assert code == 0 and out.splitlines()[0] == "9 * e[9]"
+
+
+def test_expand_tree_past_the_oracle_caps_without_a_bound(capsys, tmp_path):
+    # M_12 has 27 vertices, past the oracle's hard cap of 25: with no
+    # bound, expand leaves a tree unbounded, like a spider
+    t = mn_tree(12)
+    f = tmp_path / "m12.txt"
+    f.write_text(t.to_text())
+    code, out = run_cli(capsys, "expand", str(f))
+    terms = {Partition.parse(line.split(" * e")[1]): int(line.split(" * ")[0])
+             for line in out.splitlines()}
+    X = EExpansion(t.n, terms)
+    assert code == 0 and not X.is_e_positive()
+    for k in (t.n, t.n + 1):  # the proper colourings of a tree
+        assert X.evaluate_chromatic(k) == k * (k - 1) ** (t.n - 1)
+    assert run_cli(capsys, "expand", str(f), "--oracle-bound", "26")[0] == 2
 
 
 def test_census_text_and_summary(capsys):
@@ -655,6 +673,32 @@ def test_census_json_is_byte_identical_to_pin(capsys, census, digest):
     code, out = run_cli(capsys, "census", *census)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_corrupted_tree_memo_entry_changes_the_pinned_census(capsys,
+                                                            monkeypatch):
+    # a tree census reads every tree it has expanded from its memo, rows
+    # included: a wrong entry, seeded as the census starts, shows in its
+    # output.  The tree lacks no type the criteria find, and its expansion
+    # has negative terms, which the corruption drops.
+    t = Tree(7, [(0, 1), (1, 2), (1, 6), (2, 3), (3, 4), (3, 5)])
+    X = csf_module.tree_csf(t)
+    wrong = EExpansion.from_packed(t.n, {k: abs(c) for k, c in X.terms.items()})
+    start = cli._tree_census
+
+    def seeded(active):
+        start(active)
+        if active:
+            memo = csf_module._trees
+            memo.write(memo.key(t), wrong)
+
+    monkeypatch.setattr(cli, "_tree_census", seeded)
+    census, digest = dict((c[0], c[1:]) for c in CENSUS_DIGESTS)["trees"]
+    code, out = run_cli(capsys, "census", *census)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() != digest
+    row = next(json.loads(line) for line in out.splitlines()
+               if line.startswith('{"graph": "' + str(t) + '"'))
+    assert row["e_positive"] is True and not X.is_e_positive()
 
 
 def test_csv_census_renders_at_most_one_witness_per_row(capsys, monkeypatch):

@@ -334,6 +334,57 @@ def test_census_memo_drops_no_product(monkeypatch, tmp_path, argv):
                                     for s in enumerate_spiders(n) if s.d >= 3)
 
 
+def test_tree_engine_matches_the_oracle_without_running_it(monkeypatch):
+    # every tree with n <= 12, spiders and paths given as trees included,
+    # once with a memo per call and once through one census memo
+    trees = [t for n in range(1, 13) for t in enumerate_trees(n)]
+    want = [csf_oracle(t) for t in trees]
+
+    def refuse(*args):
+        raise AssertionError("the tree engine ran the oracle")
+
+    monkeypatch.setattr(csf_module, "csf_oracle", refuse)
+    monkeypatch.setattr(csf_module, "rooted_census", refuse)
+    assert [tree_csf(t) for t in trees] == want
+    csf_module._tree_census(True)
+    try:
+        assert [tree_csf(t) for t in trees] == want
+        assert len(csf_module._trees.entries) > 700
+    finally:
+        csf_module._tree_census(False)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_tree_census_frees_its_memo(monkeypatch, workers):
+    memos = []
+    write = csf_module._TreeMemo.write
+
+    def spy(memo, key, total):
+        memos.append(memo)
+        write(memo, key, total)
+
+    monkeypatch.setattr(csf_module._TreeMemo, "write", spy)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["census", "trees", "4..10", "--mode",
+                         "with_expansion", "--workers", workers]) == 0
+    if workers == "1":  # workers keep theirs in their own processes
+        assert len(memos) > 100 and all(m is memos[0] for m in memos)
+    assert csf_module._trees is None
+    assert tree_csf(mn_tree(3)) == csf_oracle(mn_tree(3))
+    assert csf_module._trees is None  # a call outside a census keeps none
+
+
+def test_tree_memo_keeps_overflowing_expansions_whole():
+    memo = csf_module._TreeMemo()
+    big = EExpansion.from_packed(3, {pack((3,)): 2 ** 70, pack((2, 1)): -1})
+    small = EExpansion.from_packed(3, {pack((3,)): 5, pack((1, 1, 1)): -2})
+    memo.write("big", big)
+    memo.write("small", small)
+    assert memo.read("big", 3) is big and memo.read("small", 3) == small
+    assert memo.read("absent", 3) is None
+
+
 def test_tree_csf_routing():
     assert tree_csf(path_tree(5)) == path_csf(5)
     s = Spider([3, 2, 1])

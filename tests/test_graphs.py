@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from espider.graphs import (Spider, Tree, _canonical_form, _height_is_diameter,
-                            _parents, _rooted_level_sequences,
+from espider.graphs import (Spider, Tree, TreeKeys, _canonical_form,
+                            _height_is_diameter, _parents,
+                            _rooted_level_sequences,
                             enumerate_spiders, enumerate_trees,
                             first_missing_type, has_connected_partition,
                             line_graph, mn_tree, reduce_to_spider,
@@ -362,8 +363,19 @@ def test_enumerated_trees_match_the_checked_constructor():
                     assert tuple(sorted((p, v))) in tree.edges, tree
 
 
-def test_as_spider_routing():
-    assert spider_to_tree(Spider([3, 2])).as_spider() == Spider([5])
-    assert spider_to_tree(Spider([2, 1, 1])).as_spider() == Spider([2, 1, 1])
-    assert mn_tree(2).as_spider() is None
-    assert Tree(1, []).as_spider() is None
+def test_tree_keys_equal_exactly_for_isomorphic_trees():
+    # every tree with n <= 10 under three random relabellings: keys agree
+    # with the centroid parenthesis encoding of tests/oracles
+    rng = random.Random(7)
+    key = TreeKeys()
+    classes = {}
+    for n in range(1, 11):
+        for t in enumerate_trees(n):
+            for _ in range(3):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                edges = [(perm[u], perm[v]) for u, v in t.edges]
+                classes.setdefault(key(Tree(n, edges)), set()).add(
+                    ahu_canonical(n, edges))
+    assert all(len(forms) == 1 for forms in classes.values())
+    assert len(classes) == len(set().union(*classes.values())) == 201

@@ -148,6 +148,27 @@ def test_to_e_two_degrees_in_turn(fresh_rows):
     assert sorted(fresh_rows._E_SLOTS) == [4, 5]
 
 
+def test_to_e_builds_rows_from_kept_rows(fresh_rows, monkeypatch):
+    # rows of degree 6 are kept; every row of degree 8 one or two parts
+    # past one of them costs that many products, the rest walk their
+    # prefixes, and each equals the product of its power sums
+    PExpansion(6, {lam.parts: 1 for lam in partitions_of(6)}).to_e()
+    eights = list(partitions_of(8))
+    want = [_p_product_in_e(lam) for lam in eights]
+    products = []
+    mul = EExpansion.__mul__
+    monkeypatch.setattr(EExpansion, "__mul__",
+                        lambda a, b: products.append(1) or mul(a, b))
+    assert [PExpansion.single(lam.parts).to_e() for lam in eights] == want
+    # eleven of the 22 are a kept row times p_2 and six one times p_1 twice;
+    # (8), (7, 1), (5, 3), (4, 4) and (4, 3, 1) walk their prefixes, 10
+    # products, where building every row from its parts would take 86
+    assert len(products) == 11 + 2 * 6 + 10
+    assert symfunc._kept_base((3, 2, 1, 1, 1), pack((3, 2, 1, 1, 1)))[1] \
+        == (2,)
+    assert symfunc._kept_base((5, 3), pack((5, 3)))[1] == ()
+
+
 def test_specialization_round_trip():
     # p_k -> m and e_j -> C(m, j) must agree for all k <= 10, m <= 6
     for k in range(1, 11):
