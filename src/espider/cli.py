@@ -184,7 +184,11 @@ def cmd_expand(args) -> int:
 
 def _parse_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
-    return (int(lo), int(hi)) if sep else (int(lo), int(lo))
+    try:
+        return (int(lo), int(hi)) if sep else (int(lo), int(lo))
+    except ValueError:
+        raise ValueError(f"census range {text!r}: expected N or LO..HI "
+                         "with integer ends") from None
 
 
 def _census_items(kind, lo, hi, legs):

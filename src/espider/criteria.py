@@ -382,17 +382,20 @@ def tree_battery(t: Tree) -> list[CriterionReport]:
     Coefficient-based criteria do not transfer and are not run.  Each
     report is a fresh copy stamped with its vertex and spider."""
     reports: list[CriterionReport] = []
-    for v, sp in t.reductions():
-        stamp = {"vertex": v, "spider": str(sp)}
+    for v, legs in t.reductions():
+        spider, shared = _spider_reports(legs)
+        stamp = {"vertex": v, "spider": spider}
         reports += [CriterionReport(rep.name, rep.triggered, rep.witness,
                                     {**rep.params, **stamp})
-                    for rep in _spider_reports(sp.legs)]
+                    for rep in shared]
     return reports
 
 
 @lru_cache(maxsize=4096)  # trees up to MAX_TREE_N reduce to 1,122 spiders
-def _spider_reports(legs: Partition) -> tuple[CriterionReport, ...]:
-    """The missing-partition criteria on the spider with these legs, shared
-    by every tree that reduces to it: copy a report, never mutate one."""
+def _spider_reports(legs: tuple[int, ...]) -> tuple[
+        str, tuple[CriterionReport, ...]]:
+    """The spider with these legs (longest first), as text, and the
+    missing-partition criteria on it, shared by every tree that reduces to
+    it: copy a report, never mutate one."""
     sp = Spider(legs)
-    return mod_test_scan(sp), qm_test(sp), six_leg(sp)
+    return str(sp), (mod_test_scan(sp), qm_test(sp), six_leg(sp))

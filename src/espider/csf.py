@@ -407,10 +407,13 @@ def _tree_csf(order, parent, memo: _TreeMemo) -> EExpansion:
                      + sum_{i=1}^{b} (X[T(a+b-i, 0)] P_i - X[T(i-1, 0)] P_{a+b-i+1}),
 
     and every tree on the right has a leaf fewer.  A hub of degree 3 goes
-    first, as it leaves the trees on the right with a hub fewer (so a
-    two-hub tree leads straight to spiders), then the one with the
-    shortest pendant path, which costs the fewest products.  Trees are
-    memoized in ``memo`` by their canonical key."""
+    first, as it leaves the trees on the right with a hub fewer, then the
+    one with the shortest pendant path, which costs the fewest products.
+    Trees are memoized in ``memo`` by their canonical key.  A T(x, 0) left
+    with one hub (every one, when a two-hub tree unhooks at a hub of
+    degree 3) is the spider at the other hub, whose legs are its branch
+    sizes, the one holding v grown by x - a - b: they go to
+    ``_spider_csf`` with no order of the tree built."""
     n = len(order)
     root = order[0]
     size = [1] * n
@@ -423,10 +426,8 @@ def _tree_csf(order, parent, memo: _TreeMemo) -> EExpansion:
         kids[p] += 1
     hubs = {v: [] for v in order if kids[v] + (v != root) >= 3}
     if len(hubs) <= 1:  # the legs at the hub are the sizes of its branches
-        legs = [size[v] for v in order[1:] if parent[v] in hubs]
-        if hubs and root not in hubs:
-            legs.append(n - size[next(iter(hubs))])
-        return _spider_csf(tuple(legs) if hubs else (n - 1,))
+        return _spider_csf(tuple(_legs(order, parent, size, *hubs))
+                           if hubs else (n - 1,))
     key = memo.key.rooted(order, parent)
     hit = memo.read(key, n)
     if hit is not None:
@@ -453,9 +454,18 @@ def _tree_csf(order, parent, memo: _TreeMemo) -> EExpansion:
     label = {v: i for i, v in enumerate(rest)}
     core = [label[parent[v]] for v in rest]
     at, m = label[hub], len(rest)
+    legs = None
+    if len(hubs) == 2:  # the other hub's legs, bar the one holding v
+        legs = _legs(order, parent, size,
+                     next(v for v in hubs if v != hub), hub)
+        grown = legs.pop() - a - b
+    degree = kids[hub] + (hub != root)
 
     def sub(x):
-        # T(x, 0): the rest with a path of x vertices hung at the hub
+        # T(x, 0): the rest with a path of x vertices hung at the hub,
+        # whose degree there is degree - 2 + (x > 0)
+        if legs is not None and degree + (x > 0) < 5:
+            return _spider_csf((*legs, grown + x)).terms
         par = core + [at] + list(range(m, m + x - 1)) if x else core
         return _tree_csf(*_centroid_rooted(range(m + x), par), memo).terms
 
@@ -466,6 +476,22 @@ def _tree_csf(order, parent, memo: _TreeMemo) -> EExpansion:
     total = EExpansion.from_packed(n, acc)
     memo.write(key, total)
     return total
+
+
+def _legs(order, parent, size, hub, toward=None) -> list[int]:
+    """The sizes of the branches at ``hub``; with ``toward``, the one
+    holding that vertex comes last."""
+    legs = [size[v] for v in order[1:] if parent[v] == hub]
+    if hub != order[0]:  # the branch above it, already last
+        legs.append(len(order) - size[hub])
+    if toward is not None:
+        v = toward  # up to the hub's child above it, or to the root
+        while v != order[0] and parent[v] != hub:
+            v = parent[v]
+        if parent[v] == hub:
+            legs.remove(size[v])
+            legs.append(size[v])
+    return legs
 
 
 # ---------------------------------------------------------------------------

@@ -246,12 +246,13 @@ class Tree:
             edges.append((u, v))
         return cls(n, edges)
 
-    def reductions(self) -> list[tuple[int, Spider]]:
-        """(v, the spider this tree reduces to at v) for every vertex v of
-        degree >= 3, in vertex order.  The legs at v are the sizes of the
-        subtrees hanging off v: one reverse pass of subtree sizes adds each
-        vertex's size to its parent's legs and n minus it to its own."""
-        n, parent = self.n, self._parent
+    def reductions(self) -> list[tuple[int, tuple[int, ...]]]:
+        """(v, the legs of the spider this tree reduces to at v, longest
+        first) for every vertex v of degree >= 3, in vertex order.  The
+        legs at v are the sizes of the subtrees hanging off v: one reverse
+        pass of subtree sizes adds each vertex's size to its parent's legs
+        and n minus it to its own."""
+        n, parent, deg = self.n, self._parent, self._deg
         size = [1] * n
         legs = [[] for _ in range(n)]
         for v in reversed(self._order[1:]):
@@ -259,7 +260,8 @@ class Tree:
             size[p] += size[v]
             legs[p].append(size[v])
             legs[v].append(n - size[v])
-        return [(v, Spider(legs[v])) for v in range(n) if self._deg[v] >= 3]
+        return [(v, tuple(sorted(legs[v], reverse=True)))
+                for v in range(n) if deg[v] >= 3]
 
 
 class TreeKeys:
@@ -425,7 +427,7 @@ def reduce_to_spider(t: Tree, v: int) -> Spider:
     """Spider whose legs are the sizes of the subtrees hanging off v."""
     if t.degree(v) < 3:
         raise ValueError(f"vertex {v} has degree {t.degree(v)} < 3")
-    return dict(t.reductions())[v]
+    return Spider(dict(t.reductions())[v])
 
 
 def has_connected_partition(t: Tree, typ: Partition) -> bool:
@@ -494,50 +496,113 @@ def enumerate_spiders(n: int, legs: int | None = None) -> Iterator[Spider]:
 # ---------------------------------------------------------------------------
 # Free-tree enumeration.
 
-def _rooted_level_sequences(n: int):
-    """All canonical level sequences of rooted trees on n vertices
-    (root level 0), generated by the classic successor rule in
-    decreasing lexicographic order starting from the path."""
-    if n == 1:
-        yield (0,)
-        return
-    seq = list(range(n))  # the path
+def _diameter_sequences(n: int):
+    """The canonical level sequences of rooted trees on n vertices whose
+    height h is their tree's diameter, each with h, in decreasing
+    lexicographic order from the path.  One bytearray is yielded each time
+    and changed in place after: copy it to keep it.
+
+    Beyer and Hedetniemi's successor rule (SIAM J. Comput. 9 (1980)) walks
+    every canonical sequence; this walk skips those whose height is below
+    the diameter, by their prefixes.  A canonical sequence starts with the
+    path 0, 1, ..., h, and every other vertex hangs, through one branch,
+    off some path vertex a (its anchor).  A vertex at level l in that
+    branch ends a path of length (h - a) + (l - a) through a, longer than h
+    exactly when l > 2a; when no vertex does, no path that meets elsewhere
+    is longer either.  The preorder visits the branches in order of
+    decreasing anchor, and a vertex at a level no deeper than the current
+    anchor starts a new branch.  So the test at index i reads only the
+    sequence up to i, and a sequence that fails there fails for every
+    sequence sharing that prefix: setting the rest to 1s gives the last of
+    them, and the walk steps on from it.  The successor changes the
+    sequence only from some index p on, so the test resumes at p from the
+    anchors kept for the indices before it."""
+    seq = bytearray(range(n))  # the path
+    anchor = [0] * n  # the anchor of each off-path vertex tested
+    h, start = n - 1, n
     while True:
-        yield tuple(seq)
-        p = -1
-        for i in range(n - 1, 0, -1):
-            if seq[i] > 1:
-                p = i
+        a = h if start == h + 1 else anchor[start - 1]
+        bad = 0
+        for i in range(start, n):
+            level = seq[i]
+            if level <= a:
+                a = level - 1
+            if level > 2 * a:
+                bad = i
                 break
-        if p == -1:
+            anchor[i] = a
+        if bad:
+            seq[bad + 1:] = b"\x01" * (n - bad - 1)
+        else:
+            yield seq, h
+        # the successor: from the last vertex p above level 1 on, repeat
+        # the span from the latest vertex q one level above it
+        p = len(seq.rstrip(b"\x01")) - 1
+        if p <= 0:
             return
-        q = p - 1
-        while seq[q] != seq[p] - 1:
-            q -= 1
-        for i in range(p, n):
-            seq[i] = seq[i - (p - q)]
+        q = seq.rfind(seq[p] - 1, 0, p)
+        seq[p:] = (seq[q:p] * ((n - q) // (p - q)))[:n - p]
+        h = min(h, p - 1)
+        start = p
 
 
-def _height_is_diameter(seq) -> bool:
-    """Is the height h of this canonical level sequence its tree's diameter,
-    that is, is the root an end of a longest path?
+def _shift_tables(m: int) -> list[bytes]:
+    """``bytes.translate`` tables adding s to every byte (mod 256), at
+    index s for -m <= s <= m."""
+    return [bytes(range(s % 256, 256)) + bytes(range(s % 256))
+            for s in (*range(m + 1), *range(-m, 0))]
 
-    A canonical sequence starts with the path 0, 1, ..., h, and every other
-    vertex hangs, through one branch, off some path vertex a (its anchor).
-    A vertex at level l in that branch ends a path of length (h - a) + (l - a)
-    through a, longer than h exactly when l > 2a; when no vertex does, no
-    path that meets elsewhere is longer either.  The preorder visits the
-    branches in order of decreasing anchor, and a vertex at a level no
-    deeper than the current anchor starts a new branch.  The canonical form
-    takes the centers from the path 0..h, so the answer must be exact."""
-    h = max(seq)
-    anchor = h
-    for level in seq[h + 1:]:
-        if level <= anchor:
-            anchor = level - 1
-        if level > 2 * anchor:
-            return False
-    return True
+
+def _centre_form(seq, h: int, shift: list[bytes]) -> bytes:
+    """The level sequence, as bytes, of the tree rooted at its centre,
+    least over both centres when it is bicentral.  Equal forms iff
+    isomorphic, and forms sort as the level tuples would.
+
+    Only for a sequence ``_diameter_sequences`` yields, with its h: it
+    starts with a longest path 0, 1, ..., h, so the centres are its middle
+    vertex h // 2 and, when h is odd, h // 2 + 1.  Every vertex off the
+    path heads a contiguous block of the sequence, canonical as it stands,
+    and the blocks at one anchor come in decreasing order.  Rooted at a
+    centre c, the subtree of c + 1 keeps its block, and each path vertex
+    k < c moves below k + 1 at depth c - k: only that chain is re-rooted,
+    each link inserted among the blocks at its new parent.  A block keeps
+    its shape and moves to its new depth through ``shift``
+    (``_shift_tables`` of at least h // 2 + 1)."""
+    n = len(seq)
+    heads = []  # the first vertex of each block off the path, in order
+    a = h
+    for i in range(h + 1, n):
+        level = seq[i]
+        if level <= a + 1:  # a new block: at a new anchor, or the same
+            a = level - 1
+            heads.append(i)
+    heads.append(n)
+    best = None
+    for c in range(h // 2, h - h // 2 + 1):
+        below = [[] for _ in range(c + 1)]  # the blocks at each k <= c
+        end = n  # the subtree of c + 1 ends at the first block at k <= c
+        for j in range(len(heads) - 1, 0, -1):
+            i = heads[j - 1]
+            k = seq[i] - 1
+            if k > c:
+                break
+            end = i
+            below[k].append(seq[i:heads[j]].translate(shift[c - 2 * k]))
+        up = b""  # the form of the chain re-rooted so far
+        for k in range(c + 1):
+            kids = below[k]
+            kids.reverse()  # collected last block first
+            if k == c:
+                kids.insert(0, seq[c + 1:end].translate(shift[-c]))
+            if up:
+                i = 0
+                while i < len(kids) and kids[i] >= up:
+                    i += 1
+                kids.insert(i, up)
+            up = bytes((c - k,)) + b"".join(kids)
+        if best is None or up < best:
+            best = up
+    return best
 
 
 def _parents(seq) -> list[int]:
@@ -551,33 +616,9 @@ def _parents(seq) -> list[int]:
     return parents
 
 
-def _canonical_form(seq) -> tuple[int, ...]:
-    """Level sequence of the tree rooted at its center, minimized over both
-    centers when it is bicentral.  Equal forms iff isomorphic.
-
-    Only for a sequence that passes ``_height_is_diameter``: it starts with
-    a longest path 0, 1, ..., h, so the centers are its middle vertex
-    h // 2 and, when h is odd, h // 2 + 1."""
-    adj = [[] for _ in seq]
-    for v, p in enumerate(_parents(seq)):
-        if v:
-            adj[p].append(v)
-            adj[v].append(p)
-
-    def encode(v, up, depth):
-        out = (depth,)
-        for sub in sorted([encode(w, v, depth + 1) for w in adj[v] if w != up],
-                          reverse=True):
-            out += sub
-        return out
-
-    h = max(seq)
-    return min(encode(c, -1, 0) for c in range(h // 2, h - h // 2 + 1))
-
-
-# Largest n enumerate_trees accepts.  Its cost grows about 3 times per
-# vertex: 0.3 s, 1.0-1.2 s, 2.8-3.4 s, 5.1-5.5 s and 15.3-16.2 s at
-# n = 14, 15, 16, 17, 18 (Python 3.11.7, one core of a 2-core machine;
+# Largest n enumerate_trees accepts.  Its cost grows about 2.7 times per
+# vertex: 0.15 s, 0.23-0.27 s, 0.59-0.60 s, 1.5-1.8 s and 4.9-5.0 s of CPU
+# at n = 14, 15, 16, 17, 18 (Python 3.11.7, one core of a 2-core machine;
 # 48,629 and 123,867 trees at n = 17 and 18, each timed twice).
 MAX_TREE_N = 18
 
@@ -590,16 +631,19 @@ def enumerate_trees(n: int) -> Iterator[Tree]:
     at an end of a longest path (length D), a tree's canonical sequence
     starts 0, 1, ..., D and beats every rooting of smaller height in
     lexicographic order; the sequences come in decreasing order, so one
-    whose height is below its diameter is never first and is skipped.  The
-    canonical form comes from the sequence itself, and a ``Tree`` is built,
-    unchecked, only for each class's representative as it is yielded; it
-    keeps the representative's labels but re-roots its order at a
-    centroid."""
+    whose height is below its diameter is never first, and
+    ``_diameter_sequences`` skips it, with every sequence sharing the
+    prefix that shows it.  The canonical form is built from the sequence's
+    own blocks (``_centre_form``), and a ``Tree`` is built, unchecked, only
+    for each class's representative as it is yielded; it keeps the
+    representative's labels but re-roots its order at a centroid."""
     if not 1 <= n <= MAX_TREE_N:
         raise ValueError(f"n must be in 1..{MAX_TREE_N}, got {n}")
+    shift = _shift_tables(n // 2 + 1)
     seen = {}
-    for seq in _rooted_level_sequences(n):
-        if _height_is_diameter(seq):
-            seen.setdefault(_canonical_form(seq), seq)
+    for seq, h in _diameter_sequences(n):
+        form = _centre_form(seq, h, shift)
+        if form not in seen:
+            seen[form] = bytes(seq)
     for form in sorted(seen):
         yield Tree._from_parents(_parents(seen[form]))

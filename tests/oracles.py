@@ -266,6 +266,45 @@ def component_sizes_without(n, edges, v):
     return sorted(sizes.values(), reverse=True)
 
 
+def rooted_level_sequences(n):
+    """All canonical level sequences of rooted trees on n vertices (root
+    level 0), by the classic successor rule in decreasing lexicographic
+    order from the path: the package's former walk, unpruned."""
+    if n == 1:
+        yield (0,)
+        return
+    seq = list(range(n))  # the path
+    while True:
+        yield tuple(seq)
+        p = -1
+        for i in range(n - 1, 0, -1):
+            if seq[i] > 1:
+                p = i
+                break
+        if p == -1:
+            return
+        q = p - 1
+        while seq[q] != seq[p] - 1:
+            q -= 1
+        for i in range(p, n):
+            seq[i] = seq[i - (p - q)]
+
+
+def height_is_diameter(seq):
+    """Is the height h of this canonical level sequence its tree's diameter?
+    The package's former filter: every vertex off the leading path 0..h
+    hangs off some path vertex a (its anchor) and ends a path longer than h
+    exactly when its level exceeds 2a."""
+    h = max(seq)
+    anchor = h
+    for level in seq[h + 1:]:
+        if level <= anchor:
+            anchor = level - 1
+        if level > 2 * anchor:
+            return False
+    return True
+
+
 def free_trees_unpruned(n):
     """Sorted edge lists of one tree per isomorphism class, by the package's
     former enumerator: walk every canonical rooted level sequence in

@@ -260,6 +260,15 @@ def test_census_range_errors(capsys):
         assert code == 2 and out == "", argv
 
 
+@pytest.mark.parametrize("text", ["a..b", "4..x", "..5", "4..5..6"])
+def test_census_bad_range_names_itself(capsys, text):
+    code = cli.main(["census", "trees", text])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (f"error: census range {text!r}: expected N or "
+                            "LO..HI with integer ends\n")
+
+
 def test_census_range_sets_the_sizes(capsys):
     def sizes(out):
         rows = csv.reader(l for l in out.splitlines()[1:] if l[:1] != "#")

@@ -354,6 +354,83 @@ def test_tree_engine_matches_the_oracle_without_running_it(monkeypatch):
         csf_module._tree_census(False)
 
 
+def _pendant_paths(t, v):
+    """The bare paths hanging off v in t, each as its vertices from v out."""
+    adj = {u: [] for u in range(t.n)}
+    for a, b in t.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    paths = []
+    for w in adj[v]:
+        walk = [v, w]
+        while len(adj[walk[-1]]) == 2:
+            walk.append(next(u for u in adj[walk[-1]] if u != walk[-2]))
+        if len(adj[walk[-1]]) == 1:
+            paths.append(walk[1:])
+    return paths
+
+
+def _hung(t, v, gone, x):
+    """t without the vertices ``gone``, with a path of x vertices hung at
+    v, relabelled, through the checked constructor."""
+    keep = [u for u in range(t.n) if u not in gone]
+    label = {u: i for i, u in enumerate(keep)}
+    edges = [(label[a], label[b]) for a, b in t.edges
+             if a in label and b in label]
+    tail = label[v]
+    for i in range(len(keep), len(keep) + x):
+        edges.append((tail, i))
+        tail = i
+    return Tree(len(keep) + x, edges)
+
+
+def test_two_hub_trees_hand_their_spiders_straight_over(monkeypatch):
+    # a two-hub tree unhooked at a hub of degree 3 leaves spiders at the
+    # other hub, handed to the spider engine as legs read from the tree's
+    # branch sizes: each must be the legs of a tree T(x, 0) rebuilt from the
+    # edges, and expand as that tree does, for every two-hub tree n <= 11
+    real = csf_module._spider_csf
+    handed = []
+    depth = [0]
+
+    def spy(legs):
+        if not depth[0]:  # what the tree engine hands over, not the rest
+            handed.append(tuple(sorted(legs, reverse=True)))
+        depth[0] += 1
+        try:
+            return real(legs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(csf_module, "_spider_csf", spy)
+    checked = 0
+    for n in range(1, 12):
+        for t in enumerate_trees(n):
+            hubs = [v for v in range(n) if t.degree(v) >= 3]
+            if len(hubs) != 2 or 3 not in map(t.degree, hubs):
+                continue
+            rebuilt = {}  # the legs of every spider T(x, 0), and the tree
+            for v in hubs:
+                paths = sorted(_pendant_paths(t, v), key=len)
+                if len(paths) < 2:
+                    continue
+                gone = set(paths[0] + paths[-1])
+                for x in range(len(gone) + 1):
+                    u = _hung(t, v, gone, x)
+                    spiders = u.reductions()
+                    if len(spiders) == 1:
+                        rebuilt[spiders[0][1]] = u
+            handed.clear()
+            tree_csf(t)  # outside a census: a memo for this call only
+            calls = list(handed)
+            assert calls, t
+            for legs in calls:
+                assert legs in rebuilt, (t, legs)
+                assert real(legs) == csf_oracle(rebuilt[legs]), (t, legs)
+            checked += 1
+    assert checked > 150
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_tree_census_frees_its_memo(monkeypatch, workers):
     memos = []

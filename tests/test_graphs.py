@@ -4,9 +4,8 @@ import random
 
 import pytest
 
-from espider.graphs import (Spider, Tree, TreeKeys, _canonical_form,
-                            _height_is_diameter, _parents,
-                            _rooted_level_sequences,
+from espider.graphs import (Spider, Tree, TreeKeys, _centre_form,
+                            _diameter_sequences, _parents, _shift_tables,
                             enumerate_spiders, enumerate_trees,
                             first_missing_type, has_connected_partition,
                             line_graph, mn_tree, reduce_to_spider,
@@ -15,7 +14,8 @@ from espider.partitions import Partition, partitions_of
 
 from oracles import (ahu_canonical, component_sizes_without,
                      connected_partition_types, free_tree_count_by_prufer,
-                     free_trees_unpruned)
+                     free_trees_unpruned, height_is_diameter,
+                     rooted_level_sequences)
 
 
 def test_spider_basics():
@@ -203,8 +203,8 @@ def test_reductions_match_union_find():
                 edges = sorted(tree.edges)
                 hubs = [v for v in range(n)
                         if sum(v in e for e in edges) >= 3]
-                assert [(v, list(sp.legs.parts))
-                        for v, sp in tree.reductions()] == \
+                assert [(v, list(legs))
+                        for v, legs in tree.reductions()] == \
                     [(v, component_sizes_without(n, edges, v))
                      for v in hubs], tree
             assert sorted((perm[v], sp) for v, sp in t.reductions()) == \
@@ -274,6 +274,9 @@ def test_enumerate_trees_counts():
 
 
 def test_height_is_diameter_matches_bfs():
+    # the pruned walk keeps exactly the rooted sequences whose height is
+    # the diameter found by two breadth-first searches, with that height;
+    # the former filter, the reference below, agrees with the searches
     def farthest(adj, src):
         dist = {src: 0}
         order = [src]
@@ -285,14 +288,28 @@ def test_height_is_diameter_matches_bfs():
         return order[-1], dist[order[-1]]
 
     for n in range(2, 12):
-        for seq in _rooted_level_sequences(n):
+        kept = []
+        for seq in rooted_level_sequences(n):
             adj = [[] for _ in seq]
             for v, p in enumerate(_parents(seq)):
                 if v:
                     adj[p].append(v)
                     adj[v].append(p)
             diameter = farthest(adj, farthest(adj, 0)[0])[1]
-            assert _height_is_diameter(seq) == (max(seq) == diameter), seq
+            assert height_is_diameter(seq) == (max(seq) == diameter), seq
+            if max(seq) == diameter:
+                kept.append((seq, diameter))
+        assert [(tuple(seq), h) for seq, h in _diameter_sequences(n)] == \
+            kept, n
+
+
+def test_diameter_sequences_match_successor_and_filter():
+    # the pruned walk against the former unpruned successor rule and
+    # filter, past the sizes the search above covers
+    for n in range(1, 15):
+        assert [tuple(seq) for seq, _ in _diameter_sequences(n)] == \
+            [seq for seq in rooted_level_sequences(n)
+             if height_is_diameter(seq)], n
 
 
 def test_enumerate_trees_matches_unpruned_enumerator():
@@ -316,15 +333,20 @@ def test_enumerate_trees_pairwise_non_isomorphic():
 
 
 def test_canonical_form_matches_ahu():
-    # on every sequence the enumerator keeps, the form taken from the
-    # sequence's leading path is an isomorphism invariant and a complete one
+    # on every sequence the enumerator keeps, the form built from the
+    # sequence's blocks is an isomorphism invariant and a complete one, and
+    # it is the level sequence of a tree with those edges
     for n in range(1, 11):
+        shift = _shift_tables(n // 2 + 1)
         pairs = set()
-        for seq in _rooted_level_sequences(n):
-            if _height_is_diameter(seq):
-                parents = _parents(seq)
-                edges = [(parents[v], v) for v in range(1, n)]
-                pairs.add((_canonical_form(seq), ahu_canonical(n, edges)))
+        for seq, h in _diameter_sequences(n):
+            parents = _parents(seq)
+            edges = [(parents[v], v) for v in range(1, n)]
+            form = _centre_form(seq, h, shift)
+            rooted = _parents(form)
+            assert ahu_canonical(n, [(rooted[v], v) for v in range(1, n)]) \
+                == ahu_canonical(n, edges), seq
+            pairs.add((form, ahu_canonical(n, edges)))
         assert len({f for f, _ in pairs}) == len(pairs), n
         assert len({a for _, a in pairs}) == len(pairs), n
 
@@ -379,3 +401,4 @@ def test_tree_keys_equal_exactly_for_isomorphic_trees():
                     ahu_canonical(n, edges))
     assert all(len(forms) == 1 for forms in classes.values())
     assert len(classes) == len(set().union(*classes.values())) == 201
+
