@@ -406,9 +406,15 @@ def _tree_csf(order, parent, memo: _TreeMemo) -> EExpansion:
         X[T(a, b)] = X[T(a+b, 0)]
                      + sum_{i=1}^{b} (X[T(a+b-i, 0)] P_i - X[T(i-1, 0)] P_{a+b-i+1}),
 
-    and every tree on the right has a leaf fewer.  A hub of degree 3 goes
-    first, as it leaves the trees on the right with a hub fewer, then the
-    one with the shortest pendant path, which costs the fewest products.
+    and every tree on the right has a leaf fewer.  Only a hub whose pendant
+    paths all hang below it in ``order`` competes: every child of a hub
+    other than the root heads a bare path, and all children of the root but
+    one do.  So a hub one of whose pendant paths holds the root is never
+    chosen, even when it has degree 3; with two or more hubs some other
+    leaf of their subtree always competes.  Among those that compete, a hub
+    of degree 3 goes first, as it leaves the trees on the right with a hub
+    fewer, then the one with the shortest pendant path, which costs the
+    fewest products.
     Trees are memoized in ``memo`` by their canonical key.  A T(x, 0) left
     with one hub (every one, when a two-hub tree unhooks at a hub of
     degree 3) is the spider at the other hub, whose legs are its branch

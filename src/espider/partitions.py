@@ -104,7 +104,12 @@ class Partition:
             inner = text[1:-1].strip()
             if not inner:
                 return cls()
-            return cls(int(tok) for tok in inner.split(","))
+            try:
+                parts = [int(tok) for tok in inner.split(",")]
+            except ValueError:
+                raise ValueError(f"cannot parse partition {text!r}: parts are "
+                                 "comma-separated integers") from None
+            return cls(parts)
         if text == "":
             return cls()
         parts: list[int] = []

@@ -11,11 +11,8 @@ the API: the public constructor, ``items``, ``coefficient``,
 The power-sum to elementary conversion stays integral, so any rational
 would be a bug and is never representable here.  Each power-sum monomial's
 e-row is built once per process, as a product of the Newton recurrence's
-``p_in_e`` rows, and kept under its packed p-key, also packed into one
-int by Kronecker substitution: fixed-width signed slots, one per e-key of
-the degree, in an append-only slot order.  ``PExpansion.to_e`` picks the
-slot width from a bound on the result's coefficients, sums ``coeff * row``
-as plain exact ints, and reads the slots of the sum back into a dict once.
+``p_in_e`` rows, and kept under its packed p-key; ``PExpansion.to_e`` adds
+``coeff * row`` over the input's terms into one dict.
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ import json
 from collections.abc import Iterator
 from functools import lru_cache
 from math import comb
-from operator import mul
 
 from espider.partitions import (FIELD_BITS, MAX_PACKED_WEIGHT, Partition, pack,
                                 unpack)
@@ -215,7 +211,6 @@ class PExpansion(_Expansion):
 
     def to_e(self) -> EExpansion:
         """Exact elementary-basis expansion of the same function."""
-        keys, slot = _E_SLOTS.setdefault(self.degree, ([], {}))
         # The rows still missing.  One that is a row kept from an earlier
         # conversion times one or two power sums costs that many products.
         # The others are built by one depth-first walk over their parts in
@@ -237,39 +232,21 @@ class PExpansion(_Expansion):
                     at += 1 << FIELD_BITS * (parts[i] - 1)  # pack(parts[:i+1])
                     row = _E_ROWS.get(at)
                     product = (product * p_in_e(parts[i]) if row is None
-                               else row[0])
+                               else row)
                     path.append((parts[:i + 1], product, at))
-            terms = product.terms
-            top = max(max(terms.values()), -min(terms.values()))
-            width = _slot_width(top)
-            _E_ROWS[key] = [product, top, width,
-                            _pack_row(terms, keys, slot, width)]
-        rows = [_E_ROWS[key] for key in self.terms]
-        bound = sum(abs(coeff) * row[1]
-                    for coeff, row in zip(self.terms.values(), rows))
-        # bound caps every coefficient of the result, so one width serves
-        # the whole sum; a row stored at another width is packed again
-        width = _slot_width(bound)
-        for row in rows:
-            if row[2] != width:
-                row[2:] = width, _pack_row(row[0].terms, keys, slot, width)
-        total = sum(map(mul, self.terms.values(), [row[3] for row in rows]))
-        return EExpansion.from_packed(self.degree,
-                                      _unpack_sum(total, keys, width))
+            _E_ROWS[key] = product
+        acc: dict[int, int] = {}
+        get = acc.get
+        for key, coeff in self.terms.items():
+            for k, c in _E_ROWS[key].terms.items():
+                acc[k] = get(k, 0) + coeff * c
+        return EExpansion.from_packed(self.degree, acc)
 
-
-# The e-keys of each degree in slot order, and the slot of each.  A key gets
-# the next slot the first time a row holds it, and the order only grows, so
-# a row packed earlier stays valid; a sparse input builds slots only for the
-# keys its rows hold.
-_E_SLOTS: dict[int, tuple[list[int], dict[int, int]]] = {}
 
 # The e-row of each power-sum monomial met so far, keyed by its packed
-# p-key: [its EExpansion, max |coefficient|, slot width W, the row packed
-# at W].
-# Only the rows are kept, not the prefix products that built them: on the
-# 25-vertex M_11 those took more memory than the rows themselves.
-_E_ROWS: dict[int, list] = {}
+# p-key.  Only the rows are kept, not the prefix products that built them:
+# on the 25-vertex M_11 those took more memory than the rows themselves.
+_E_ROWS: dict[int, EExpansion] = {}
 
 
 def _kept_base(parts: tuple[int, ...], key: int):
@@ -281,56 +258,8 @@ def _kept_base(parts: tuple[int, ...], key: int):
     for extra in [(p,) for p in distinct] + pairs:
         row = _E_ROWS.get(key - sum(1 << FIELD_BITS * (p - 1) for p in extra))
         if row is not None:
-            return row[0], extra
+            return row, extra
     return None, ()
-
-
-def _slot_width(bound: int) -> int:
-    """The least multiple of 64 bits W with bound < 2^(W - 1)."""
-    return 64 * (bound.bit_length() // 64 + 1)
-
-
-def _bias(width: int, cells: int) -> int:
-    """2^(width - 1) in each of ``cells`` slots of ``width`` bits."""
-    return int.from_bytes(
-        (1 << width - 1).to_bytes(width // 8, "little") * cells, "little")
-
-
-def _pack_row(terms: dict[int, int], keys: list[int], slot: dict[int, int],
-              width: int) -> int:
-    """sum_k terms[k] 2^(width slot[k]) from one pass over ``terms``, giving
-    each new key the next slot.  Each slot's bytes hold its coefficient plus
-    2^(width - 1), so every slot is nonnegative; one subtraction of the bias
-    leaves the signed sum."""
-    size = width // 8
-    half = 1 << width - 1
-    empty = half.to_bytes(size, "little")
-    out = [empty] * len(keys)
-    for key, coeff in terms.items():
-        i = slot.get(key)
-        if i is None:
-            i = slot[key] = len(keys)
-            keys.append(key)
-            out.append(empty)
-        out[i] = (coeff + half).to_bytes(size, "little")
-    return int.from_bytes(b"".join(out), "little") - _bias(width, len(out))
-
-
-def _unpack_sum(total: int, keys: list[int], width: int) -> dict[int, int]:
-    """The nonzero slots of a packed sum, by e-key; each slot must lie
-    strictly within +-2^(width - 1).  Adding the bias makes every slot
-    nonnegative, so none borrows from the next; xor with the bias then
-    leaves each slot's coefficient in two's complement."""
-    size = width // 8
-    bias = _bias(width, len(keys))
-    data = ((total + bias) ^ bias).to_bytes(size * len(keys), "little")
-    out = {}
-    for i, key in enumerate(keys):
-        coeff = int.from_bytes(data[i * size:(i + 1) * size], "little",
-                               signed=True)
-        if coeff:
-            out[key] = coeff
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -352,10 +281,5 @@ def p_in_e(k: int) -> EExpansion:
 @lru_cache(maxsize=None)
 def p_monomial_in_e(parts: tuple[int, ...]) -> EExpansion:
     """The product p_{parts[0]} p_{parts[1]} ... in the elementary basis,
-    cached with every prefix; ``PExpansion.to_e`` builds its rows without
-    it, keeping none of their prefixes."""
-    if not parts:
-        return EExpansion.single(())
-    if len(parts) == 1:
-        return p_in_e(parts[0])
-    return p_monomial_in_e(parts[:-1]) * p_in_e(parts[-1])
+    built by ``PExpansion.to_e`` like every other row."""
+    return PExpansion.single(parts).to_e()

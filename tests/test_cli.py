@@ -127,6 +127,16 @@ def test_empty_or_misweighted_flag_values_exit_2(capsys):
         assert code == 2 and out == "", argv
 
 
+@pytest.mark.parametrize("text", ["3,,2", ",", "7.0", "[3,x]"])
+def test_bad_coeff_names_itself(capsys, text):
+    code = cli.main(["expand", "S[3,2,1]", "--coeff", text])
+    captured = capsys.readouterr()
+    bracketed = text if text.startswith("[") else f"[{text}]"
+    assert code == 2 and captured.out == ""
+    assert captured.err == (f"error: cannot parse partition {bracketed!r}: "
+                            "parts are comma-separated integers\n")
+
+
 def test_environment_sets_no_option(capsys, monkeypatch):
     # flags are the only configuration: variables named like options,
     # malformed ones included, change nothing

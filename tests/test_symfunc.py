@@ -91,10 +91,8 @@ def test_to_e_sparse_high_degree():
 
 @pytest.fixture
 def fresh_rows(monkeypatch):
-    """An empty row cache and slot table, so each test packs its own rows."""
+    """An empty row cache, so each test builds its own rows."""
     monkeypatch.setattr(symfunc, "_E_ROWS", {})
-    monkeypatch.setattr(symfunc, "_E_SLOTS", {})
-    return symfunc
 
 
 def _combination_in_e(terms):
@@ -104,15 +102,11 @@ def _combination_in_e(terms):
     return expect
 
 
-@pytest.mark.parametrize("coeff,width", [
-    (2**63 - 1, 64), (-(2**63 - 1), 64), (-2**63, 128), (2**63, 128)])
-def test_to_e_slot_width_at_the_machine_word(fresh_rows, coeff, width):
-    # p_1 = e_1: the result's one coefficient is the input's, and it decides
-    # the slot width; the rows built at 64 bits are packed again at 128
+@pytest.mark.parametrize("coeff", [2**63 - 1, -(2**63 - 1), -2**63, 2**63])
+def test_to_e_exact_at_the_machine_word(fresh_rows, coeff):
+    # p_1 = e_1: the result's one coefficient is the input's
     assert PExpansion(1, {(1,): coeff}).to_e() == E([((1,), coeff)])
-    assert fresh_rows._E_ROWS[pack((1,))][2] == width
-    # the same value on e_1^2 next to -2^63 and then 2^63 on e_2, so a
-    # borrow or carry between adjacent slots would show:
+    # the same value on e_1^2 next to -2^63 and then 2^63 on e_2:
     # a p_1^2 + b p_2 = (a + b) e_1^2 - 2b e_2
     for second in (-2**63, 2**63):
         terms = {(1, 1): coeff + second // 2, (2,): -second // 2}
@@ -121,31 +115,23 @@ def test_to_e_slot_width_at_the_machine_word(fresh_rows, coeff, width):
         assert out == E([((1, 1), coeff), ((2,), second)])
 
 
-def test_to_e_slot_table_grows_under_a_packed_row(fresh_rows):
-    # p_1^6 = e_1^6 is packed while its degree has one slot; p_6 then gives
-    # a slot to every partition of 6, and the sparse row stays valid as it is
+def test_to_e_sparse_row_then_its_whole_degree(fresh_rows):
+    # p_1^6 = e_1^6 is built alone; p_6 then reaches every partition of 6,
+    # and a combination of the two reads both rows
     ones = (1,) * 6
     assert PExpansion.single(ones).to_e() == E([(ones, 1)])
-    keys, _ = fresh_rows._E_SLOTS[6]
-    assert keys == [pack(ones)]
-    row = fresh_rows._E_ROWS[pack(ones)]
-    packed = row[3]
     assert PExpansion.single((6,)).to_e() == _p_product_in_e((6,))
-    assert len(keys) == len(list(partitions_of(6)))
     terms = {ones: 5, (6,): -3}
     assert PExpansion(6, terms).to_e() == _combination_in_e(terms)
-    assert row[3] is packed
 
 
-def test_to_e_two_degrees_in_turn(fresh_rows):
-    # each degree keeps its own slot order: converting 5, then 4, then 5
-    # again reads every row against the table of its own degree
+def test_to_e_alternating_degrees(fresh_rows):
+    # converting 5, then 4, then 5 again reads every row of its own degree
     rng = Random(22)
     for n in (5, 4, 5, 4):
         terms = {lam.parts: rng.randint(-10**6, 10**6)
                  for lam in partitions_of(n) if rng.random() < 0.6}
         assert PExpansion(n, terms).to_e() == _combination_in_e(terms), n
-    assert sorted(fresh_rows._E_SLOTS) == [4, 5]
 
 
 def test_to_e_builds_rows_from_kept_rows(fresh_rows, monkeypatch):
