@@ -13,7 +13,8 @@ unbounded.
 
 Exit codes for ``analyze``: 0 e-positive or unknown, 1 proven not
 e-positive, 2 input error (an expansion the mode asks for beyond the size
-bound included).
+bound included).  Any command whose reader closes stdout early stops
+quietly with 141.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from itertools import islice
 
 from espider.criteria import MODES, BatteryResult, run_battery
 from espider.csf import (DEFAULT_TREE_ORACLE_BOUND, MIN_ORACLE_BOUND,
-                         OracleBoundError, _census_top, _tree_census,
-                         csf_oracle, spider_csf, tree_csf)
+                         OracleBoundError, _census_top, csf_oracle,
+                         spider_csf, tree_csf)
 from espider.graphs import (MAX_TREE_N, Spider, Tree, enumerate_spiders,
                             enumerate_trees, line_graph, spider_to_tree)
 from espider.partitions import Partition
@@ -72,17 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--legs", type=int,
                     help="restrict spiders to exactly this many legs")
     sp.add_argument("--workers", type=int, default=1,
-                    help="worker processes, each with its own expansion "
-                         "memos, a tree census's memo of every tree it "
-                         "expands included; rows come out in the serial "
-                         "order.  A census gains little: chunks scatter "
-                         "the census order, so each worker recomputes "
-                         "expansions another worker's memo holds.  With "
-                         "expansion, two workers take about nine tenths of "
-                         "the serial time at trees 4..14, and at spiders "
-                         "4..22 about the serial time, 2.4 times its "
-                         "products, and 1.4 to 1.5 times its peak memory "
-                         "each")
+                    help="worker processes; rows come out in the serial "
+                         "order.  Each worker has its own expansion memos, "
+                         "so a census gains little")
     sp.add_argument("--resume", help="journal file for resumable runs")
     common(sp, mode=True)
 
@@ -200,23 +193,14 @@ def _census_items(kind, lo, hi, legs):
             yield from enumerate_trees(n)
 
 
-_WORKER_STATE = {}
-
-
-def _census_init(mode, bound, criteria, top, legs, trees):
-    _WORKER_STATE.update(mode=mode, bound=bound, criteria=criteria)
-    _census_top(top, legs)
-    _tree_census(trees)
-
-
-def _census_one(g):
-    state = _WORKER_STATE
-    try:
-        res = run_battery(g, mode=state["mode"], max_n=state["bound"])
-    except OracleBoundError:
-        # too large to expand: report the one-sided verdict instead
-        res = run_battery(g, mode="criteria_only")
-    return _row_from_result(res, g, state["criteria"])
+def _census_one(job) -> dict:
+    """The row of ``job``, a (graph, mode, bound, criteria) tuple; a graph
+    past the expansion bound gets its criteria-only verdict."""
+    g, mode, bound, criteria = job
+    if g.n > bound:
+        mode = "criteria_only"
+    return _row_from_result(run_battery(g, mode=mode, max_n=bound), g,
+                            criteria)
 
 
 def _row_from_result(res: BatteryResult, g, criteria=False) -> dict:
@@ -337,23 +321,22 @@ def cmd_census(args) -> int:
         if not whole:
             journal.write(json.dumps(header) + "\n")
 
+    limit = DEFAULT_TREE_ORACLE_BOUND if bound is None else bound
+    criteria = bool(journal) or args.format == "json"
+    jobs = ((g, args.mode, limit, criteria) for g in todo)
     # a spider census tells the spider engine the largest size it expands,
     # so that the memo drops each spider after its last reader
-    top = None
-    if args.kind == "spiders":
-        top = min(hi, DEFAULT_TREE_ORACLE_BOUND if bound is None else bound)
-    state = (args.mode, bound, bool(journal) or args.format == "json", top,
-             legs, args.kind == "trees")
+    spiders = (min(hi, limit) if args.kind == "spiders" else None, legs)
     if args.workers > 1:
         # imported here: only a parallel census needs it, and it adds to
         # every start-up's time and memory
         from multiprocessing import Pool
-        pool = Pool(args.workers, initializer=_census_init, initargs=state)
-        stream = pool.imap(_census_one, todo, chunksize=8)
+        pool = Pool(args.workers, initializer=_census_top, initargs=spiders)
+        stream = pool.imap(_census_one, jobs, chunksize=8)
     else:
-        _census_init(*state)
+        _census_top(*spiders)
         pool = None
-        stream = map(_census_one, todo)
+        stream = map(_census_one, jobs)
 
     if args.format == "csv" and not done:
         print(CSV_HEADER)
@@ -366,7 +349,6 @@ def cmd_census(args) -> int:
             _print_census_row(row, args.format)
     finally:
         _census_top(None)  # later calls in this process memoize every spider
-        _tree_census(False)  # and free the census's trees
     if pool:
         pool.close()
         pool.join()
@@ -484,6 +466,14 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): end quietly, with the
+        # status a shell reports for a writer killed by SIGPIPE, and send
+        # what is still buffered nowhere, so the exit flush cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ValueError, OSError, OracleBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -30,9 +30,10 @@ Two independent routes to the e-basis expansion of X_G:
 * ``tree_csf`` expands every tree by the same identity, at a hub whose
   branches are all bare paths but one, summed over the edges of its
   shorter pendant path (``_tree_csf``); the trees it leads to have a leaf
-  fewer, and the recursion ends in spiders and paths.  A tree census keeps
-  every tree it expands, compactly, until it ends (``_TreeMemo``); with no
-  bound given, a tree, like a spider, is expanded at any size.
+  fewer, and the recursion ends in spiders and paths.  Every tree it
+  expands is memoized, compactly, for the life of the process
+  (``_TreeMemo``); with no bound given, a tree, like a spider, is expanded
+  at any size.
 
 Closed-form coefficient extractors for special keys ((m^q), (2^{n/2}),
 (3, 2^k), and the four-leg (m+r, m^q)) live here too.
@@ -334,20 +335,19 @@ def _computes(census: _Census, legs: tuple[int, ...]) -> bool:
 def tree_csf(t: Spider | Tree, max_n: int | None = None) -> EExpansion:
     """e-expansion of a spider or tree by leg-unhooking, the one place the
     expansion bound is applied: a graph with more than ``max_n`` vertices is
-    refused before the engine runs; with no bound, none applies.  A tree
-    census keeps every tree it expands in one memo (``_tree_census``); any
-    other call keeps the trees it meets only while it runs."""
+    refused before the engine runs; with no bound, none applies.  Every
+    tree it meets is memoized in ``_trees`` for the life of the process."""
     if max_n is not None and t.n > max_n:
         raise OracleBoundError(
             f"{t.n} vertices exceeds the expansion bound {max_n}")
     if isinstance(t, Spider):
         return spider_csf(t)
-    return _tree_csf(t._order, t._parent,
-                     _trees if _trees is not None else _TreeMemo())
+    return _tree_csf(t._order, t._parent, _trees)
 
 
 class _TreeMemo:
-    """Expansions of the trees met, by ``TreeKeys`` key.  Each is stored as
+    """Expansions of the trees met, by ``TreeKeys`` key, kept until the
+    memo goes (the process's ``_trees``, when it exits).  Each is stored as
     an int64 array over the partitions of its degree in one fixed order, or,
     when a coefficient does not fit, as the expansion itself.  A tree's
     expansion has 78% to 83% of the partitions as terms at n = 10 to 14, so
@@ -380,16 +380,9 @@ class _TreeMemo:
             self.entries[key] = total
 
 
-# The memo of the running tree census, or None outside one.
-_trees: _TreeMemo | None = None
-
-
-def _tree_census(active: bool) -> None:
-    """Tell the engine that a tree census starts (True) or ends (False) in
-    this process: the census keeps every tree it expands, for its later
-    trees to read, and frees them all when it ends."""
-    global _trees
-    _trees = _TreeMemo() if active else None
+# Tree expansions, process-wide like ``_spiders``: a tree census reads
+# every tree it has expanded, and so does any later call.
+_trees = _TreeMemo()
 
 
 def _tree_csf(order, parent, memo: _TreeMemo) -> EExpansion:

@@ -696,28 +696,83 @@ def test_census_json_is_byte_identical_to_pin(capsys, census, digest):
 
 def test_corrupted_tree_memo_entry_changes_the_pinned_census(capsys,
                                                             monkeypatch):
-    # a tree census reads every tree it has expanded from its memo, rows
-    # included: a wrong entry, seeded as the census starts, shows in its
-    # output.  The tree lacks no type the criteria find, and its expansion
-    # has negative terms, which the corruption drops.
+    # a tree census reads every tree it has expanded from the process's
+    # memo, rows included: a wrong entry, seeded before the census starts,
+    # shows in its output.  The tree lacks no type the criteria find, and
+    # its expansion has negative terms, which the corruption drops.  The
+    # memo is a fresh one, so the wrong entry goes with this test.
     t = Tree(7, [(0, 1), (1, 2), (1, 6), (2, 3), (3, 4), (3, 5)])
     X = csf_module.tree_csf(t)
     wrong = EExpansion.from_packed(t.n, {k: abs(c) for k, c in X.terms.items()})
-    start = cli._tree_census
-
-    def seeded(active):
-        start(active)
-        if active:
-            memo = csf_module._trees
-            memo.write(memo.key(t), wrong)
-
-    monkeypatch.setattr(cli, "_tree_census", seeded)
+    memo = csf_module._TreeMemo()
+    memo.write(memo.key(t), wrong)
+    monkeypatch.setattr(csf_module, "_trees", memo)
     census, digest = dict((c[0], c[1:]) for c in CENSUS_DIGESTS)["trees"]
     code, out = run_cli(capsys, "census", *census)
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() != digest
     row = next(json.loads(line) for line in out.splitlines()
                if line.startswith('{"graph": "' + str(t) + '"'))
     assert row["e_positive"] is True and not X.is_e_positive()
+
+
+def test_census_on_a_warm_tree_memo_prints_the_pinned_bytes(capsys,
+                                                            monkeypatch):
+    # the tree memo lives as long as the process: a second census reads
+    # every tree back from it, expands none, and prints the same bytes
+    monkeypatch.setattr(csf_module, "_trees", csf_module._TreeMemo())
+    census, digest = dict((c[0], c[1:]) for c in CENSUS_DIGESTS)["trees"]
+    code, out = run_cli(capsys, "census", *census)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+    kept = len(csf_module._trees.entries)
+    assert kept > 100
+    writes = []
+    write = csf_module._TreeMemo.write
+    monkeypatch.setattr(csf_module._TreeMemo, "write",
+                        lambda *a: writes.append(1) or write(*a))
+    code, out = run_cli(capsys, "census", *census)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+    assert not writes and len(csf_module._trees.entries) == kept
+
+
+def test_census_runs_one_battery_per_row_past_the_bound(capsys, monkeypatch):
+    # spiders past the default bound 20 go straight to the criteria, with
+    # no expansion tried first and no second battery after it
+    calls = []
+    battery = cli.run_battery
+
+    def counted(g, mode, max_n):
+        calls.append((g.n, mode))
+        return battery(g, mode=mode, max_n=max_n)
+
+    monkeypatch.setattr(cli, "run_battery", counted)
+    code, out = run_cli(capsys, "census", "spiders", "4..24", "--legs", "3",
+                        "--format", "csv")
+    rows = list(csv.DictReader(line for line in out.splitlines()
+                               if not line.startswith("#")))
+    assert code == 0 and len(calls) == len(rows) > 0
+    past = [mode for n, mode in calls if n > 20]
+    assert past and set(past) == {"criteria_only"}
+    assert "unknown" in {row["e_positive"] for row in rows}
+
+
+def test_closed_stdout_ends_the_census_quietly(tmp_path):
+    # a reader that stops early (``espider census ... | head``) is not an
+    # input error: the census ends as a writer killed by SIGPIPE would, with
+    # status 141 and nothing on stderr.  The census writes far more than a
+    # pipe holds, so it is still writing when the pipe closes.
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "espider.cli", "census", "spiders", "4..20",
+         "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.readline() == b"graph,n,d,first_trigger,e_positive," \
+                                     b"witness\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141 and err == b""
 
 
 def test_csv_census_renders_at_most_one_witness_per_row(capsys, monkeypatch):

@@ -336,7 +336,7 @@ def test_census_memo_drops_no_product(monkeypatch, tmp_path, argv):
 
 def test_tree_engine_matches_the_oracle_without_running_it(monkeypatch):
     # every tree with n <= 12, spiders and paths given as trees included,
-    # once with a memo per call and once through one census memo
+    # once with a memo per call and once through one fresh process memo
     trees = [t for n in range(1, 13) for t in enumerate_trees(n)]
     want = [csf_oracle(t) for t in trees]
 
@@ -345,13 +345,11 @@ def test_tree_engine_matches_the_oracle_without_running_it(monkeypatch):
 
     monkeypatch.setattr(csf_module, "csf_oracle", refuse)
     monkeypatch.setattr(csf_module, "rooted_census", refuse)
+    assert [csf_module._tree_csf(t._order, t._parent, csf_module._TreeMemo())
+            for t in trees] == want
+    monkeypatch.setattr(csf_module, "_trees", csf_module._TreeMemo())
     assert [tree_csf(t) for t in trees] == want
-    csf_module._tree_census(True)
-    try:
-        assert [tree_csf(t) for t in trees] == want
-        assert len(csf_module._trees.entries) > 700
-    finally:
-        csf_module._tree_census(False)
+    assert len(csf_module._trees.entries) > 700
 
 
 def _pendant_paths(t, v):
@@ -421,7 +419,9 @@ def test_two_hub_trees_hand_their_spiders_straight_over(monkeypatch):
                     if len(spiders) == 1:
                         rebuilt[spiders[0][1]] = u
             handed.clear()
-            tree_csf(t)  # outside a census: a memo for this call only
+            # a fresh memo, so that no tree is read back instead of unhooked
+            monkeypatch.setattr(csf_module, "_trees", csf_module._TreeMemo())
+            tree_csf(t)
             calls = list(handed)
             assert calls, t
             for legs in calls:
@@ -429,27 +429,6 @@ def test_two_hub_trees_hand_their_spiders_straight_over(monkeypatch):
                 assert real(legs) == csf_oracle(rebuilt[legs]), (t, legs)
             checked += 1
     assert checked > 150
-
-
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_tree_census_frees_its_memo(monkeypatch, workers):
-    memos = []
-    write = csf_module._TreeMemo.write
-
-    def spy(memo, key, total):
-        memos.append(memo)
-        write(memo, key, total)
-
-    monkeypatch.setattr(csf_module._TreeMemo, "write", spy)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert cli.main(["census", "trees", "4..10", "--mode",
-                         "with_expansion", "--workers", workers]) == 0
-    if workers == "1":  # workers keep theirs in their own processes
-        assert len(memos) > 100 and all(m is memos[0] for m in memos)
-    assert csf_module._trees is None
-    assert tree_csf(mn_tree(3)) == csf_oracle(mn_tree(3))
-    assert csf_module._trees is None  # a call outside a census keeps none
 
 
 def test_tree_memo_keeps_overflowing_expansions_whole():
