@@ -324,17 +324,18 @@ def cmd_census(args) -> int:
     limit = DEFAULT_TREE_ORACLE_BOUND if bound is None else bound
     criteria = bool(journal) or args.format == "json"
     jobs = ((g, args.mode, limit, criteria) for g in todo)
-    # a spider census tells the spider engine the largest size it expands,
-    # so that the memo drops each spider after its last reader
-    spiders = (min(hi, limit) if args.kind == "spiders" else None, legs)
     if args.workers > 1:
         # imported here: only a parallel census needs it, and it adds to
         # every start-up's time and memory
         from multiprocessing import Pool
-        pool = Pool(args.workers, initializer=_census_top, initargs=spiders)
+        # each worker sees its own chunks only, not the census order the
+        # spider memo's expiries follow, so it keeps every spider
+        pool = Pool(args.workers)
         stream = pool.imap(_census_one, jobs, chunksize=8)
     else:
-        _census_top(*spiders)
+        # a spider census tells the spider engine the largest size it
+        # expands, so that the memo drops each spider after its last reader
+        _census_top(min(hi, limit) if args.kind == "spiders" else None, legs)
         pool = None
         stream = map(_census_one, jobs)
 

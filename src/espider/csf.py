@@ -20,12 +20,11 @@ Two independent routes to the e-basis expansion of X_G:
   (``path_csf``; the closed-form coefficient ``path_e_coefficient`` is its
   independent check).  Memoized in process, and each spider starts from
   its nearest memoized predecessor along the steps, so a census in
-  reverse-lexicographic order pays two products per spider.  A spider
-  census memoizes each spider, of any size, with the number of reads its
-  later steps will make of it, and drops it after the last (``_memoize``):
-  at 4..24 with expansion it peaks at 102 MB where keeping every spider
-  below the top size took 193 MB.  Library calls memoize every spider.
-  Comfortably reaches spiders far beyond oracle scale.
+  reverse-lexicographic order pays two products per spider.  A serial
+  spider census drops each spider once past its last reader
+  (``_memoize``), peaking at 103 MB at 4..24 with expansion, not 193 MB;
+  elsewhere every spider is kept.  Comfortably reaches spiders far beyond
+  oracle scale.
 
 * ``tree_csf`` expands every tree by the same identity, at a hub whose
   branches are all bare paths but one, summed over the edges of its
@@ -43,6 +42,7 @@ from __future__ import annotations
 
 from array import array
 from functools import lru_cache
+from heapq import heappop, heappush
 from itertools import compress, repeat
 
 from espider._subsets import rooted_census, subset_type_census
@@ -137,40 +137,31 @@ def path_csf(n: int) -> EExpansion:
 # Spider expansions by sorted leg tuple, process-wide like ``path_csf``:
 # entries are immutable and recomputation is idempotent, so each worker
 # process simply keeps its own.  Outside a spider census every spider is
-# kept.  In a census each entry carries in ``_reads_left`` the reads the
-# census's later steps will make of it (see ``_memoize``); every read
-# takes one off, and the entry goes when none is left.
+# kept; in a census each entry expires at the census position of its last
+# reader (``_memoize``), and ``spider_csf`` drops it once past there.
 _spiders: dict[tuple[int, ...], EExpansion] = {}
-_reads_left: dict[tuple[int, ...], int] = {}
-
-
-class _Census:
-    """The running spider census: the largest size it expands, its --legs
-    restriction, its first expansion (n, legs) once made, the size its
-    expansions have reached, and, for spiders with fewer legs than
-    --legs, whether it computes them."""
-
-    __slots__ = ("top", "legs", "first", "size", "computed")
-
-    def __init__(self, top: int, legs: int | None):
-        self.top, self.legs = top, legs
-        self.first: tuple[int, tuple[int, ...]] | None = None
-        self.size = 0
-        self.computed: dict[tuple[int, ...], bool] = {}
-
-
-_census: _Census | None = None
+_census: tuple[int, int | None] | None = None  # (top size, --legs)
+_first: tuple[int, int] | None = None  # the census's first expansion
+_expiries: list[tuple[tuple[int, int], tuple[int, ...]]] = []  # a heap
 
 
 def _census_top(top: int | None, legs: int | None = None) -> None:
     """Tell the engine that a spider census expanding spiders of at most
     ``top`` vertices (with exactly ``legs`` legs, if given) runs in this
-    process; ``top=None`` ends it, so later calls memoize every spider.
-    The census visits spiders by n, then in reverse-lexicographic leg
-    order, which is what the memo's read counts rely on."""
-    global _census
-    _census = None if top is None else _Census(top, legs)
-    _reads_left.clear()
+    process; ``top=None`` ends it, dropping what it still holds, so later
+    calls memoize every spider."""
+    global _census, _first
+    _census, _first = None if top is None else (top, legs), None
+    for _, key in _expiries:
+        _spiders.pop(key, None)
+    _expiries.clear()
+    _reads_at.cache_clear()
+
+
+def _position(legs: tuple[int, ...]) -> tuple[int, int]:
+    """The spider's place in census order: by n, then reverse-lexicographic
+    by legs, as the packed keys of one weight sort as the partitions do."""
+    return 1 + sum(legs), -pack(legs)
 
 
 def spider_csf(s: Spider) -> EExpansion:
@@ -187,54 +178,26 @@ def spider_csf(s: Spider) -> EExpansion:
     whose spider (a+b-j, M, j) is memoized, or from j = 0, the spider
     (a+b, M) with one leg fewer; the spiders passed on the way are not
     memoized.  Spiders with at most two legs are paths.  Results are
-    memoized in ``_spiders`` by the sorted leg tuple (during a spider
-    census, each only until its last reader).
+    memoized in ``_spiders`` by the sorted leg tuple; during a spider
+    census, each only until the census passes its last reader.
     """
-    if _census is not None:
-        _census_step(_census, s.n, s.legs.parts)
-    return _spider_csf(s.legs.parts)
-
-
-def _precedes(x: tuple[int, tuple[int, ...]],
-              y: tuple[int, tuple[int, ...]]) -> bool:
-    """Does spider x = (n, legs) come before y in census order?"""
-    return x[0] < y[0] or (x[0] == y[0] and x[1] > y[1])
-
-
-def _census_step(census: _Census, n: int, legs: tuple[int, ...]) -> None:
-    """Note the census's next expansion."""
-    if census.first is None:
-        k = census.legs or 3
-        # a census that starts at or before its first spider with k legs
-        # computes every spider in order, so it keeps none to the end
-        start = (k + 1, (1,) * k)
-        census.first = (n, legs) if _precedes(start, (n, legs)) else (0, ())
-    elif n > census.size and census.legs:
-        # a spider with --legs legs is read only by later spiders of its
-        # own size: once the census is past that size, the reads it still
-        # waits for belong to spiders the criteria decided, never expanded
-        for key in [key for key in _reads_left if len(key) == census.legs]:
-            del _reads_left[key], _spiders[key]
-    census.size = n
-
-
-def _read(legs: tuple[int, ...]) -> EExpansion | None:
-    """The memoized spider, or None; a census counts the read."""
-    left = _reads_left.get(legs)
-    if left is None:
-        return _spiders.get(legs)
-    if left > 1:
-        _reads_left[legs] = left - 1
-        return _spiders[legs]
-    del _reads_left[legs]
-    return _spiders.pop(legs)
+    global _first
+    legs = s.legs.parts
+    if _census is None:
+        return _spider_csf(legs)
+    at = _position(legs)
+    _first = _first or at
+    total = _spider_csf(legs)
+    while _expiries and _expiries[0][0] <= at:
+        _spiders.pop(heappop(_expiries)[1], None)
+    return total
 
 
 def _spider_csf(legs: tuple[int, ...]) -> EExpansion:
     legs = tuple(sorted((l for l in legs if l > 0), reverse=True))
     if len(legs) <= 2:
         return path_csf(1 + sum(legs))
-    hit = _read(legs)
+    hit = _spiders.get(legs)
     if hit is not None:
         return hit
     a, b = legs[0], legs[-1]
@@ -246,7 +209,7 @@ def _spider_csf(legs: tuple[int, ...]) -> EExpansion:
     j = b - 1
     while j and (a + b - j,) + middle + (j,) not in _spiders:
         j -= 1
-    start = _read((a + b - j,) + middle + (j,)).terms if j else sub(a + b)
+    start = _spiders[(a + b - j,) + middle + (j,)].terms if j else sub(a + b)
     acc = dict(start)
     for i in range(j + 1, b + 1):
         # step from (a+b-i+1, M, i-1) to (a+b-i, M, i)
@@ -258,36 +221,45 @@ def _spider_csf(legs: tuple[int, ...]) -> EExpansion:
 
 
 def _memoize(legs: tuple[int, ...], total: EExpansion) -> None:
-    """Memoize a spider; in a census, for the reads still to come.
+    """Memoize a spider; in a census, until the position at which the last
+    of its ``_readers`` reads it, and not at all if none does.
 
-    A census that expands every spider in its range computes each spider
-    from its memoized predecessor, so a spider is read once by each of its
-    ``_readers`` the census computes and never otherwise: every read a
-    full memo would serve is served, with the same products.  A spider
-    with fewer legs than --legs is computed on demand by the first of
-    those readers, which so reads it one time fewer.  A spider before the
-    census's first expansion (a census started past its first spider, or
-    resumed) is computed on demand in an order the counts do not follow,
-    so it is kept to the end of the census.  A census that expands only
-    what the criteria leave undecided computes fewer readers, so some
-    counted reads never come and an entry may stay to the end."""
-    census = _census
-    if (census is None or census.first is not None
-            and _precedes((1 + sum(legs), legs), census.first)):
-        _spiders[legs] = total
-        return
-    reads = sum(_computes(census, r) for r in _readers(census, legs))
-    if census.legs is not None and len(legs) < census.legs:
-        reads -= 1
-    if reads:
-        _spiders[legs] = total
-        _reads_left[legs] = reads
+    A census that expands every spider in its range computes each from its
+    memoized predecessor, so every read a full memo would serve is served,
+    with the same products.  One that expands only what the criteria leave
+    undecided computes fewer readers: an entry may stay past its last
+    actual read, or go before a reader computed out of turn, which then
+    computes it again."""
+    if _census is not None:
+        last = max(filter(None, map(_reads_at, _readers(legs))), default=None)
+        if last is None:
+            return
+        heappush(_expiries, (last, legs))
+    _spiders[legs] = total
 
 
-def _readers(census: _Census, legs: tuple[int, ...]) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=None)  # for one census: ``_census_top`` clears it
+def _reads_at(legs: tuple[int, ...]) -> tuple[int, int] | None:
+    """The census position at which this spider is computed, and reads what
+    it reads, if the census expands every spider in its range; None if it
+    never is.  The census reaches a spider with its --legs leg count (any,
+    without --legs) at or after its first expansion, at its own position.
+    Any other spider is computed on demand, by the first of its
+    ``_readers`` computed; but one before the first expansion (a census
+    resumed, or started late) may start further back than its predecessor,
+    reading spiders no reader list names, so it is taken to read as late as
+    its last reader."""
+    at = _position(legs)
+    if _census[1] in (None, len(legs)) and at >= _first:
+        return at
+    times = filter(None, map(_reads_at, _readers(legs)))
+    return (max if at < _first else min)(times, default=None)
+
+
+def _readers(legs: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The spiders that read the spider L = ``legs`` = (a, ..., b) when each
     starts from its predecessor, with at most the census's top size and
-    its --legs legs.  Each reads L once, after L is computed:
+    at most its --legs legs.  Each reads L once, when it is computed:
 
     * its successor (a-1, L[1:-1], b+1), which starts from L;
     * (a-1, L[1:], 1), which starts from L at j = 0;
@@ -296,12 +268,10 @@ def _readers(census: _Census, legs: tuple[int, ...]) -> list[tuple[int, ...]]:
     * (c, L[:-1], b+1) for c >= a, which reads L as X[b, L[:-1]] at its
       last step;
     * (c, L, 1) for c >= a, which reads L as X[0, L] at its one step.
-
-    The successor comes last, so that ``_computes`` meets a spider with
-    more legs first."""
+    """
     a, b, d = legs[0], legs[-1], len(legs)
-    k = census.legs
-    room = census.top - 1 - sum(legs)  # vertices a reader may add
+    top, k = _census
+    room = top - 1 - sum(legs)  # vertices a reader may add
     if room < 0:
         return []
     out = []
@@ -317,19 +287,6 @@ def _readers(census: _Census, legs: tuple[int, ...]) -> list[tuple[int, ...]]:
     if a > legs[1] and b < legs[-2]:
         out.append((a - 1,) + legs[1:-1] + (b + 1,))
     return out
-
-
-def _computes(census: _Census, legs: tuple[int, ...]) -> bool:
-    """Does the census compute this spider, if it expands every spider in
-    its range?  Every spider with --legs legs (any, without --legs); one
-    with fewer legs when the census computes one of its readers."""
-    if census.legs is None or len(legs) == census.legs:
-        return True
-    known = census.computed.get(legs)
-    if known is None:
-        known = census.computed[legs] = any(
-            _computes(census, r) for r in _readers(census, legs))
-    return known
 
 
 def tree_csf(t: Spider | Tree, max_n: int | None = None) -> EExpansion:

@@ -114,7 +114,7 @@ class Partition:
             return cls()
         parts: list[int] = []
         for tok in text.split():
-            m = re.fullmatch(r"(\d+)(?:\^(\d+))?", tok)
+            m = re.fullmatch(r"(\d+)(?:\^(0*[1-9]\d*))?", tok)
             if not m:
                 raise ValueError(f"cannot parse partition token {tok!r}")
             value = int(m.group(1))

@@ -106,8 +106,10 @@ def empty_memo(monkeypatch):
     """Give the spider engine an empty memo, and no running census, until
     the test ends."""
     monkeypatch.setattr(csf_module, "_spiders", {})
-    monkeypatch.setattr(csf_module, "_reads_left", {})
     monkeypatch.setattr(csf_module, "_census", None)
+    monkeypatch.setattr(csf_module, "_first", None)
+    monkeypatch.setattr(csf_module, "_expiries", [])
+    csf_module._reads_at.cache_clear()
     return csf_module._spiders
 
 
@@ -226,7 +228,7 @@ def test_census_memo_drops_top_size_spiders(monkeypatch):
     memo = empty_memo(monkeypatch)
     census("4..20", "--mode", "with_expansion")
     # every spider, of the top size or smaller, went after its last reader
-    assert not memo and not csf_module._reads_left
+    assert not memo and not csf_module._expiries
     # the census is over: later calls memoize every spider again
     assert csf_module._census is None
     for legs, entries in STANDALONE_MEMO:
@@ -236,58 +238,58 @@ def test_census_memo_drops_top_size_spiders(monkeypatch):
 
 
 class ReadLog(dict):
-    """A spider memo that counts the reads of each entry."""
+    """A spider memo that logs the census row (counted by ``spider_csf``
+    calls) at which each entry is stored, read and dropped."""
 
     def __init__(self):
         super().__init__()
-        self.stored, self.reads = [], {}
+        self.row = 0
+        self.stored, self.reads, self.dropped = {}, {}, {}
 
     def __setitem__(self, key, value):
-        assert key not in self.reads, f"{key} computed twice"
-        self.stored.append(key)
-        self.reads[key] = 0
+        assert key not in self.stored, f"{key} computed twice"
+        self.stored[key], self.reads[key] = self.row, []
         super().__setitem__(key, value)
-
-    def _read(self, key, value):
-        if value is not None:
-            self.reads[key] += 1
-        return value
 
     def get(self, key, default=None):
-        return self._read(key, super().get(key, default))
+        value = super().get(key, default)
+        if value is not None:
+            self.reads[key].append(self.row)
+        return value
 
     def __getitem__(self, key):
-        return self._read(key, super().__getitem__(key))
+        self.reads[key].append(self.row)
+        return super().__getitem__(key)
 
     def pop(self, key, *default):
-        return self._read(key, super().pop(key, *default))
+        if key in self:
+            self.dropped[key] = self.row
+        return super().pop(key, *default)
 
 
-class CountLog(dict):
-    """Read counts that remember the count each entry was given."""
-
-    def __init__(self):
-        super().__init__()
-        self.given = {}
-
-    def __setitem__(self, key, value):
-        if key not in self:
-            self.given.setdefault(key, value)
-        super().__setitem__(key, value)
-
-
-@pytest.mark.parametrize("legs", [(), ("--legs", "3"), ("--legs", "4")])
+@pytest.mark.parametrize("legs", [(), ("--legs", "3"), ("--legs", "4"),
+                                  ("--legs", "5")])
 def test_census_memo_counts_every_read(monkeypatch, legs):
-    # replay: each spider a census memoizes is read exactly as often as the
-    # count it was given, and none is left when the census ends
+    # replay: a census that expands every spider computes each spider once,
+    # and drops each entry at the end of the row that read it last (or that
+    # stored it, when its one reader computed it on demand): never before a
+    # read, so nothing is read after its expiry, and never later, so no
+    # entry outlives its last reader; none is left when the census ends
     empty_memo(monkeypatch)
-    memo, counts = ReadLog(), CountLog()
+    memo = ReadLog()
     monkeypatch.setattr(csf_module, "_spiders", memo)
-    monkeypatch.setattr(csf_module, "_reads_left", counts)
+    engine = csf_module.spider_csf
+
+    def row(s):
+        memo.row += 1
+        return engine(s)
+
+    monkeypatch.setattr(csf_module, "spider_csf", row)
     census("4..14", "--mode", "with_expansion", *legs)
     assert memo.stored
-    assert memo.reads == counts.given
-    assert not memo and not counts
+    for key, stored in memo.stored.items():
+        assert memo.dropped[key] == max(memo.reads[key], default=stored), key
+    assert not memo
 
 
 @pytest.mark.parametrize("argv", [
@@ -297,6 +299,8 @@ def test_census_memo_counts_every_read(monkeypatch, legs):
     ("4..16", "--mode", "with_expansion", "--legs", "3"),
     ("9..16", "--mode", "with_expansion"),
     ("4..16", "--mode", "with_expansion", "--resume"),
+    ("4..16", "--mode", "with_expansion", "--legs", "5"),
+    ("4..16", "--mode", "with_expansion", "--legs", "4", "--resume"),
 ])
 def test_census_memo_drops_no_product(monkeypatch, tmp_path, argv):
     # a census that drops each spider after its last reader does the
@@ -332,6 +336,32 @@ def test_census_memo_drops_no_product(monkeypatch, tmp_path, argv):
     if argv == ("4..16", "--mode", "with_expansion"):
         assert counts[0] == 2 * sum(1 for n in range(4, 17)
                                     for s in enumerate_spiders(n) if s.d >= 3)
+
+
+def test_resumed_census_holds_no_more_than_a_fresh_one(monkeypatch,
+                                                       tmp_path):
+    # a resumed census computes the spiders before its first expansion out
+    # of turn; at its last row it holds no more spiders than a census run
+    # from the start holds there
+    journal = tmp_path / "census.jsonl"
+    argv = ("4..16", "--mode", "with_expansion", "--resume", str(journal))
+    engine, held = csf_module.spider_csf, []
+
+    def row(s):
+        total = engine(s)
+        held.append(len(csf_module._spiders))
+        return total
+
+    monkeypatch.setattr(csf_module, "spider_csf", row)
+    empty_memo(monkeypatch)
+    census(*argv)
+    fresh = held[-1]
+    lines = journal.read_text().splitlines(keepends=True)
+    journal.write_text("".join(lines[:len(lines) // 2]))
+    held.clear()
+    empty_memo(monkeypatch)
+    census(*argv)
+    assert held and held[-1] <= fresh, (held[-1], fresh)
 
 
 def test_tree_engine_matches_the_oracle_without_running_it(monkeypatch):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -134,6 +136,11 @@ def test_parse_rejects_garbage():
         Partition.parse("3^^2")
     with pytest.raises(ValueError):
         Partition.parse("[3,x]")
+    # a zero multiplicity is a typo, not an empty run of parts
+    for text, token in (("3^0 2", "3^0"), ("2^00", "2^00")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"cannot parse partition token {token!r}")):
+            Partition.parse(text)
 
 
 def test_immutability():
