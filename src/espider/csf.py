@@ -151,7 +151,8 @@ def _census_top(top: int | None, legs: int | None = None) -> None:
     process; ``top=None`` ends it, dropping what it still holds, so later
     calls memoize every spider."""
     global _census, _first
-    _census, _first = None if top is None else (top, legs), None
+    _census = None if top is None else (top, legs)
+    _first = None
     for _, key in _expiries:
         _spiders.pop(key, None)
     _expiries.clear()
