@@ -46,8 +46,8 @@ from heapq import heappop, heappush
 from itertools import compress, repeat
 
 from espider._subsets import rooted_census, subset_type_census
-from espider.graphs import (Spider, SimpleGraph, Tree, TreeKeys,
-                            _centroid_rooted, spider_mod_type_info,
+from espider.graphs import (Spider, SimpleGraph, Tree, TreeKeys, _branches,
+                            _centroid_rooted, _rerooted, spider_mod_type_info,
                             spider_to_tree)
 from espider.partitions import Partition, multinomial, pack, partitions_of
 from espider.symfunc import UNIT, EExpansion, PExpansion, add_product
@@ -211,14 +211,21 @@ def _spider_csf(legs: tuple[int, ...]) -> EExpansion:
     while j and (a + b - j,) + middle + (j,) not in _spiders:
         j -= 1
     start = _spiders[(a + b - j,) + middle + (j,)].terms if j else sub(a + b)
-    acc = dict(start)
-    for i in range(j + 1, b + 1):
-        # step from (a+b-i+1, M, i-1) to (a+b-i, M, i)
-        add_product(acc, sub(a + b - i), path_csf(i).terms)
-        add_product(acc, sub(i - 1), path_csf(a + b - i + 1).terms, -1)
-    total = EExpansion.from_packed(1 + sum(legs), acc)
+    total = _unhooked(1 + sum(legs), start, a + b, j, b, sub)
     _memoize(legs, total)
     return total
+
+
+def _unhooked(n: int, start, s: int, j: int, b: int, sub) -> EExpansion:
+    """The Orellana-Scott steps at a vertex whose two pendant paths hold s
+    vertices, from T(s-j, j) (``start``) to T(s-b, b); the step to
+    T(s-i, i) adds X[T(s-i, 0)] P_i - X[T(i-1, 0)] P_{s-i+1}, each X[T(x, 0)]
+    read as ``sub(x)``, all packed terms."""
+    acc = dict(start)
+    for i in range(j + 1, b + 1):
+        add_product(acc, sub(s - i), path_csf(i).terms)
+        add_product(acc, sub(i - 1), path_csf(s - i + 1).terms, -1)
+    return EExpansion.from_packed(n, acc)
 
 
 def _memoize(legs: tuple[int, ...], total: EExpansion) -> None:
@@ -347,59 +354,45 @@ def _tree_csf(order, parent, memo: _TreeMemo) -> EExpansion:
     """e-expansion of the tree whose vertices ``order`` lists from a
     centroid, each after its ``parent``.
 
-    A path or spider goes to ``_spider_csf``.  Any other tree has a hub v
-    (a vertex of degree >= 3) whose branches are all bare paths but one: a
-    leaf of the subtree its hubs span.  With pendant paths of a >= b
-    vertices at v, and T(x, y) the tree with pendant paths of x and y
-    vertices there in their place, the spider step summed over the b edges
-    of the short path reads
+    A path or spider goes to ``_spider_csf``, with the branch sizes at its
+    hub as legs.  Any other tree has a hub v (a vertex of degree >= 3)
+    whose branches are all bare paths but one: a leaf of the subtree its
+    hubs span.  With pendant paths of a >= b vertices at v, and T(x, y) the
+    tree with pendant paths of x and y vertices there in their place, the
+    spider step summed over the b edges of the short path reads
 
         X[T(a, b)] = X[T(a+b, 0)]
                      + sum_{i=1}^{b} (X[T(a+b-i, 0)] P_i - X[T(i-1, 0)] P_{a+b-i+1}),
 
-    and every tree on the right has a leaf fewer.  Only a hub whose pendant
-    paths all hang below it in ``order`` competes: every child of a hub
-    other than the root heads a bare path, and all children of the root but
-    one do.  So a hub one of whose pendant paths holds the root is never
-    chosen, even when it has degree 3; with two or more hubs some other
-    leaf of their subtree always competes.  Among those that compete, a hub
-    of degree 3 goes first, as it leaves the trees on the right with a hub
-    fewer, then the one with the shortest pendant path, which costs the
-    fewest products.
-    Trees are memoized in ``memo`` by their canonical key.  A T(x, 0) left
-    with one hub (every one, when a two-hub tree unhooks at a hub of
-    degree 3) is the spider at the other hub, whose legs are its branch
-    sizes, the one holding v grown by x - a - b: they go to
-    ``_spider_csf`` with no order of the tree built."""
+    and every tree on the right has a leaf fewer.  Every such hub competes,
+    read from ``_branches``: one of degree 3 goes first, as it leaves the
+    trees on the right with a hub fewer, then the one with the shortest
+    pendant path, which costs the fewest products; if a path taken holds
+    the root, the order is re-rooted at v.  Trees are memoized in ``memo``
+    by their canonical key.  A T(x, 0) left with one hub (every one, when a
+    two-hub tree unhooks at its hub of degree 3) is the spider at the other
+    hub, whose legs are its bare branches and the one holding v grown by
+    x - a - b: they go to ``_spider_csf`` with no order of the tree built."""
     n = len(order)
-    root = order[0]
-    size = [1] * n
-    kids = [0] * n
-    chain = [1] * n  # vertices of the bare path v heads, 0 if v heads none
-    for v in reversed(order[1:]):
-        p = parent[v]
-        size[p] += size[v]
-        chain[p] = 0 if kids[p] else chain[v] and chain[v] + 1
-        kids[p] += 1
-    hubs = {v: [] for v in order if kids[v] + (v != root) >= 3}
-    if len(hubs) <= 1:  # the legs at the hub are the sizes of its branches
-        return _spider_csf(tuple(_legs(order, parent, size, *hubs))
-                           if hubs else (n - 1,))
+    table = _branches(order, parent)
+    if len(table) <= 1:  # a path, or a spider whose legs are its branches
+        return _spider_csf(tuple(size for _, size, _ in table.popitem()[1])
+                           if table else (n - 1,))
     key = memo.key.rooted(order, parent)
     hit = memo.read(key, n)
     if hit is not None:
         return hit
-    for v in order[1:]:
-        if parent[v] in hubs:
-            hubs[parent[v]].append(v)
     best = None
-    for v, below in hubs.items():
-        paths = sorted((chain[w], w) for w in below if chain[w])
-        if len(paths) >= len(below) - (v == root) and len(paths) >= 2:
-            rank = (kids[v] + (v != root) != 3, paths[0][0])
+    for v, branches in table.items():
+        paths = sorted([(size, head) for hubs, size, head in branches
+                        if not hubs])
+        if len(paths) == len(branches) - 1:
+            rank = (len(branches) != 3, paths[0][0])
             if best is None or rank < best[0]:
                 best = rank, v, paths[-1], paths[0]
     _, hub, (a, wa), (b, wb) = best
+    if parent[hub] in (wa, wb):  # a path taken holds the root
+        order, parent = _rerooted(order, parent, hub)
     # the rest of the tree, relabelled in order, each after its parent
     gone = {wa, wb}
     rest = []
@@ -412,43 +405,22 @@ def _tree_csf(order, parent, memo: _TreeMemo) -> EExpansion:
     core = [label[parent[v]] for v in rest]
     at, m = label[hub], len(rest)
     legs = None
-    if len(hubs) == 2:  # the other hub's legs, bar the one holding v
-        legs = _legs(order, parent, size,
-                     next(v for v in hubs if v != hub), hub)
+    if len(table) == 2:  # the other hub's bare branches, then v's
+        other = next(v for v in table if v != hub)
+        legs = [size for _, size, _ in sorted(table[other])]
         grown = legs.pop() - a - b
-    degree = kids[hub] + (hub != root)
 
     def sub(x):
         # T(x, 0): the rest with a path of x vertices hung at the hub,
-        # whose degree there is degree - 2 + (x > 0)
-        if legs is not None and degree + (x > 0) < 5:
+        # whose degree there is len(table[hub]) - 2 + (x > 0)
+        if legs is not None and len(table[hub]) + (x > 0) < 5:
             return _spider_csf((*legs, grown + x)).terms
         par = core + [at] + list(range(m, m + x - 1)) if x else core
         return _tree_csf(*_centroid_rooted(range(m + x), par), memo).terms
 
-    acc = dict(sub(a + b))
-    for i in range(1, b + 1):
-        add_product(acc, sub(a + b - i), path_csf(i).terms)
-        add_product(acc, sub(i - 1), path_csf(a + b - i + 1).terms, -1)
-    total = EExpansion.from_packed(n, acc)
+    total = _unhooked(n, sub(a + b), a + b, 0, b, sub)
     memo.write(key, total)
     return total
-
-
-def _legs(order, parent, size, hub, toward=None) -> list[int]:
-    """The sizes of the branches at ``hub``; with ``toward``, the one
-    holding that vertex comes last."""
-    legs = [size[v] for v in order[1:] if parent[v] == hub]
-    if hub != order[0]:  # the branch above it, already last
-        legs.append(len(order) - size[hub])
-    if toward is not None:
-        v = toward  # up to the hub's child above it, or to the root
-        while v != order[0] and parent[v] != hub:
-            v = parent[v]
-        if parent[v] == hub:
-            legs.remove(size[v])
-            legs.append(size[v])
-    return legs
 
 
 # ---------------------------------------------------------------------------

@@ -201,6 +201,8 @@ class Tree:
         return Tree, (self.n, sorted(self.edges))
 
     def degree(self, v: int) -> int:
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} outside a tree on {self.n} vertices")
         return self._deg[v]
 
     def __eq__(self, other):
@@ -249,19 +251,10 @@ class Tree:
     def reductions(self) -> list[tuple[int, tuple[int, ...]]]:
         """(v, the legs of the spider this tree reduces to at v, longest
         first) for every vertex v of degree >= 3, in vertex order.  The
-        legs at v are the sizes of the subtrees hanging off v: one reverse
-        pass of subtree sizes adds each vertex's size to its parent's legs
-        and n minus it to its own."""
-        n, parent, deg = self.n, self._parent, self._deg
-        size = [1] * n
-        legs = [[] for _ in range(n)]
-        for v in reversed(self._order[1:]):
-            p = parent[v]
-            size[p] += size[v]
-            legs[p].append(size[v])
-            legs[v].append(n - size[v])
-        return [(v, tuple(sorted(legs[v], reverse=True)))
-                for v in range(n) if deg[v] >= 3]
+        legs at v are the sizes of its branches (``_branches``)."""
+        table = _branches(self._order, self._parent)
+        return [(v, tuple(sorted([s for _, s, _ in table[v]], reverse=True)))
+                for v in sorted(table)]
 
 
 class TreeKeys:
@@ -320,34 +313,67 @@ class TreeKeys:
 
 def _centroid_rooted(order, parent):
     """The same tree's rooted order from a centroid, as (order, parent)
-    tuples.
+    tuples (``_rerooted``).
 
     The centroid is the last vertex in ``order`` whose subtree holds more
     than n/2 vertices: none of its children's subtrees does, and the rest
-    of the tree holds fewer than n/2.  Re-rooting flips the parent links on its path
-    up to the old root and lists that path first, then every other vertex
-    in its old place, still after its parent.  A walk over the order merges
-    at most n/2 vertices through any one edge, against up to n - 1 from an
-    end of a path."""
+    of the tree holds fewer than n/2.  A walk over the order merges at most
+    n/2 vertices through any one edge, against n - 1 from an end of a path."""
     n = len(order)
     size = [1] * n
     for v in reversed(order[1:]):
         size[parent[v]] += size[v]
-    centroid = next(v for v in reversed(order) if 2 * size[v] > n)
-    root = order[0]
-    if centroid == root:
+    return _rerooted(order, parent,
+                     next(v for v in reversed(order) if 2 * size[v] > n))
+
+
+def _rerooted(order, parent, root):
+    """The same tree's rooted order from ``root``, as (order, parent)
+    tuples: the path from ``root`` up to the old root, its links flipped,
+    then every other vertex in its old place, still after its parent."""
+    if root == order[0]:
         return tuple(order), tuple(parent)
     parent = list(parent)
-    path = [centroid]
-    v, up = centroid, parent[centroid]
-    parent[centroid] = centroid
-    while v != root:
+    path = [root]
+    v, up = root, parent[root]
+    parent[root] = root
+    while v != order[0]:
         up_next = parent[up]
         parent[up] = v
         v, up = up, up_next
         path.append(v)
     on_path = set(path)
     return tuple(path + [v for v in order if v not in on_path]), tuple(parent)
+
+
+def _branches(order, parent) -> dict[int, list[tuple[int, int, int]]]:
+    """Each hub (vertex of degree >= 3) of the tree on 0..n-1 whose vertices
+    ``order`` lists each after its ``parent``, in order, with its branches,
+    the one above it included, as (the hubs in it, its vertices, its head,
+    the hub's neighbour in it); one without a hub is a bare path."""
+    n = len(order)
+    root = order[0]
+    size = [1] * n
+    kids = [0] * n
+    hubs = [0] * n  # the hubs in each vertex's subtree
+    found = []  # the hubs, last in order first
+    for v in reversed(order[1:]):  # every child of v is done before v
+        p = parent[v]
+        if kids[v] > 1:
+            hubs[v] += 1
+            found.append(v)
+        size[p] += size[v]
+        kids[p] += 1
+        hubs[p] += hubs[v]
+    if kids[root] > 2:
+        hubs[root] += 1
+        found.append(root)
+    table = {v: [(hubs[root] - hubs[v], n - size[v], parent[v])]
+             if v != root else [] for v in reversed(found)}
+    for v in order[1:]:
+        if parent[v] in table:
+            table[parent[v]].append((hubs[v], size[v], v))
+    return table
 
 
 class SimpleGraph:

@@ -459,6 +459,29 @@ def test_two_hub_trees_hand_their_spiders_straight_over(monkeypatch):
                 assert real(legs) == csf_oracle(rebuilt[legs]), (t, legs)
             checked += 1
     assert checked > 150
+    # every leaf hub competes, so each such tree with n <= 14 unhooks at its
+    # hub of degree 3 and hands every T(x, 0) over: one tree expansion
+    real_tree = csf_module._tree_csf
+    expanded = []
+
+    def tree_spy(order, parent, memo):
+        expanded.append(len(order))
+        return real_tree(order, parent, memo)
+
+    monkeypatch.setattr(csf_module, "_tree_csf", tree_spy)
+    swept = 0
+    for n in range(1, 15):
+        for t in enumerate_trees(n):
+            hubs = [v for v in range(n) if t.degree(v) >= 3]
+            if len(hubs) != 2 or 3 not in map(t.degree, hubs):
+                continue
+            monkeypatch.setattr(csf_module, "_trees", csf_module._TreeMemo())
+            expanded.clear()
+            handed.clear()
+            tree_csf(t)
+            assert expanded == [n] and handed, t
+            swept += 1
+    assert swept == 1092
 
 
 def test_tree_memo_keeps_overflowing_expansions_whole():

@@ -168,6 +168,18 @@ def test_subtree_reduction_examples():
     assert spiders == {"S[6,3,1]", "S[5,4,1]"}
 
 
+def test_vertex_outside_the_tree_is_refused():
+    # a negative vertex used to read another vertex through Python's
+    # negative indexing, and one past the end to raise IndexError
+    t = Tree(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
+    for v in (-4, -1, 5):
+        with pytest.raises(ValueError, match=rf"vertex {v} .* 5 vertices"):
+            t.degree(v)
+        with pytest.raises(ValueError, match=rf"vertex {v} .* 5 vertices"):
+            reduce_to_spider(t, v)
+    assert reduce_to_spider(t, 1) == Spider([2, 1, 1])
+
+
 def test_subtree_reduction_preserves_missing_types():
     # a type present in the tree is present in every reduced spider
     for n in range(3, 11):
